@@ -700,7 +700,7 @@ impl SearchView<'_> {
         scratch.beats.copy_from_slice(&self.sys.fixed_beats);
         scratch.open.fill(0);
         let eps = self.problem.tol.eps;
-        let (nlo, nhi) = (&tightened.lo, &tightened.hi);
+        let node_box = formulation::SimplexBox::new(&tightened.lo, &tightened.hi);
         let mut branch_candidate: Option<(usize, f64)> = None;
         let mut newly_decided: Vec<(usize, bool)> = Vec::new();
         for (idx, pair) in self.sys.pairs.iter().enumerate() {
@@ -708,12 +708,18 @@ impl SearchView<'_> {
                 Some(true) => scratch.beats[pair.slot] += 1,
                 Some(false) => {}
                 None => {
-                    let diff = self.sys.diff(idx);
-                    let lo_v = formulation::box_simplex_min(diff, nlo, nhi);
-                    let hi_v = formulation::box_simplex_max(diff, nlo, nhi);
-                    let (Some(l), Some(h)) = (lo_v, hi_v) else {
+                    let Some(node_box) = &node_box else {
                         continue;
                     };
+                    let diff = self.sys.diff(idx);
+                    if let Some(beats) = node_box.screen(diff, eps) {
+                        if beats {
+                            scratch.beats[pair.slot] += 1;
+                        }
+                        newly_decided.push((idx, beats));
+                        continue;
+                    }
+                    let (l, h) = node_box.min_max(diff);
                     if l > eps {
                         scratch.beats[pair.slot] += 1;
                         newly_decided.push((idx, true));

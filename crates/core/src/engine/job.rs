@@ -652,7 +652,7 @@ impl<P: Borrow<OptProblem>> SolveJob<P> {
     /// initial boxes and (2) that every cached constraint row is
     /// dominated over an over-approximation of the new region — the new
     /// box tightened by the single-variable rows of the *new*
-    /// constraints, maximized by [`formulation::box_simplex_max`]. Any
+    /// constraints, maximized by [`formulation::SimplexBox::min_max`]. Any
     /// failure rejects all facts; only `false` negatives are possible.
     fn region_within_cached(&self, art: &RootArtifacts) -> bool {
         let problem = self.problem.borrow();
@@ -701,6 +701,7 @@ impl<P: Borrow<OptProblem>> SolveJob<P> {
             // job anyway; claim nothing.
             return false;
         }
+        let region = formulation::SimplexBox::new(&lo, &hi);
         let mut dense = vec![0.0; m];
         for (coefs, rhs) in art.constraints.rows() {
             dense.iter_mut().for_each(|d| *d = 0.0);
@@ -710,7 +711,7 @@ impl<P: Borrow<OptProblem>> SolveJob<P> {
             for &(j, c) in coefs {
                 dense[j] = c;
             }
-            match formulation::box_simplex_max(&dense, &lo, &hi) {
+            match region.as_ref().map(|r| r.min_max(&dense).1) {
                 Some(v) if v <= rhs + 1e-9 => {}
                 _ => return false,
             }

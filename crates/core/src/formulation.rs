@@ -11,12 +11,23 @@
 //! 2. **Constant folding over a box** (Section IV and V-B). Over any box
 //!    `[lo, hi] ⊆ [0,1]^m` of weight space (intersected with the simplex
 //!    `Σw = 1`), the extreme values of each pair's linear form are exact
-//!    fractional-knapsack optima computable in `O(m log m)`. Pairs whose
-//!    range clears `ε` on one side are constants — the SYM-GD speedup and
-//!    the Section V-B dominance pruning both fall out of this test (a
-//!    dominated pair's range is strictly positive over the whole simplex).
+//!    fractional-knapsack optima ([`SimplexBox::min_max`], one stack sort
+//!    of `m` indices). Pairs whose range clears `ε` on one side are
+//!    constants — the SYM-GD speedup and the Section V-B dominance
+//!    pruning both fall out of this test (a dominated pair's range is
+//!    strictly positive over the whole simplex).
+//!
+//! 3. **Score screening.** A small cell is crossed by almost no
+//!    hyperplanes, so [`reduce_against_box`] first bounds every pair in
+//!    O(1) from per-box scores at the lower corner and per-tuple
+//!    attribute extremes, after an `O(n·m)` pass per box. Only pairs whose
+//!    bounds come within a rounding margin of `ε` pay for a difference
+//!    vector and the exact knapsack. The screen decides a pair only where
+//!    the exact classifier decides it identically, so the reduced system
+//!    is bit-for-bit the unscreened one.
 
 use crate::{OptProblem, WeightConstraints};
+use rankhow_linalg::FeatureMatrix;
 use rankhow_lp::{Op, Sense, VarId};
 use rankhow_milp::MilpProblem;
 
@@ -65,36 +76,167 @@ impl ReducedSystem {
     }
 }
 
+/// The region `{lo ≤ w ≤ hi, Σw = 1}` prepared for repeated
+/// fractional-knapsack queries: the box sums, the simplex slack `rest`
+/// and each coordinate's room are computed once per box, so a query
+/// costs one sort of `m` indices on the stack and no heap allocation.
+#[derive(Debug)]
+pub struct SimplexBox<'a> {
+    lo: &'a [f64],
+    /// `hi_j − lo_j` per coordinate.
+    room: Vec<f64>,
+    /// Mass left to spend above the lower corner: `1 − Σlo`.
+    rest: f64,
+    /// `1 + Σ|lo| + |rest|`: how far the weights of a point in the
+    /// region can scale a row's magnitude (see [`screen_margin`]).
+    reach: f64,
+    /// Every room is non-negative (so `lo` plus mass `rest` spread over
+    /// the rooms bounds the region): the screens' precondition.
+    ordered: bool,
+}
+
+/// Coordinates up to which [`SimplexBox::min_max`] sorts on the stack;
+/// wider boxes take one heap buffer per query.
+const STACK_M: usize = 64;
+
+impl<'a> SimplexBox<'a> {
+    /// `None` if the box misses the simplex (within `1e-12`).
+    pub fn new(lo: &'a [f64], hi: &[f64]) -> Option<Self> {
+        let base: f64 = lo.iter().sum();
+        let cap: f64 = hi.iter().sum();
+        if base > 1.0 + 1e-12 || cap < 1.0 - 1e-12 {
+            return None;
+        }
+        let rest = 1.0 - base;
+        let room: Vec<f64> = hi.iter().zip(lo).map(|(h, l)| h - l).collect();
+        Some(SimplexBox {
+            lo,
+            ordered: room.iter().all(|r| *r >= 0.0),
+            room,
+            rest,
+            reach: 1.0 + lo.iter().map(|l| l.abs()).sum::<f64>() + rest.abs(),
+        })
+    }
+
+    /// Minimum and maximum of `c·w` over the region — the exact
+    /// fractional-knapsack optima. Start at the lower corner and spend
+    /// the remaining mass on the cheapest (for the maximum, the
+    /// dearest) coordinates. The maximum is computed as the minimum of
+    /// `−c` in the order a stable sort of `−c` gives, so both values
+    /// are bit-identical to the two-sort formulation.
+    pub fn min_max(&self, c: &[f64]) -> (f64, f64) {
+        let m = c.len();
+        if m <= STACK_M {
+            let mut order = [0usize; STACK_M];
+            self.min_max_in(c, &mut order[..m])
+        } else {
+            self.min_max_in(c, &mut vec![0usize; m])
+        }
+    }
+
+    fn min_max_in(&self, c: &[f64], order: &mut [usize]) -> (f64, f64) {
+        for (j, o) in order.iter_mut().enumerate() {
+            *o = j;
+        }
+        // Ties broken by index: the order a stable sort would give,
+        // without its scratch buffer.
+        order.sort_unstable_by(|&a, &b| c[a].total_cmp(&c[b]).then(a.cmp(&b)));
+        let mut min: f64 = c.iter().zip(self.lo).map(|(ci, li)| ci * li).sum();
+        let mut remaining = self.rest;
+        for &j in order.iter() {
+            if remaining <= 0.0 {
+                break;
+            }
+            let room = self.room[j].min(remaining);
+            min += c[j] * room;
+            remaining -= room;
+        }
+        // Descending values; a run of equal values keeps index order.
+        let mut neg: f64 = c.iter().zip(self.lo).map(|(ci, li)| -ci * li).sum();
+        let mut remaining = self.rest;
+        let mut end = order.len();
+        'runs: while end > 0 {
+            let value = c[order[end - 1]].to_bits();
+            let mut start = end - 1;
+            while start > 0 && c[order[start - 1]].to_bits() == value {
+                start -= 1;
+            }
+            for &j in &order[start..end] {
+                if remaining <= 0.0 {
+                    break 'runs;
+                }
+                let room = self.room[j].min(remaining);
+                neg += -c[j] * room;
+                remaining -= room;
+            }
+            end = start;
+        }
+        (min, -neg)
+    }
+
+    /// Classify a difference vector against the region under tie
+    /// tolerance `eps`, from its exact extremes.
+    pub(crate) fn classify(&self, diff: &[f64], eps: f64) -> PairClass {
+        let (l, h) = self.min_max(diff);
+        if l > eps {
+            PairClass::AlwaysBeats
+        } else if h <= eps {
+            PairClass::NeverBeats
+        } else {
+            PairClass::Undecided
+        }
+    }
+
+    /// O(m) screen ahead of the exact knapsack: `c·lo` plus `rest`
+    /// times the least (greatest) `c_j` bounds the minimum (maximum) of
+    /// `c·w`. `Some(true)` when `c·w > eps` holds everywhere,
+    /// `Some(false)` when it holds nowhere — each only when the bound
+    /// clears `eps` by a rounding margin, so the exact classifier
+    /// would decide the same — and `None` otherwise.
+    pub fn screen(&self, c: &[f64], eps: f64) -> Option<bool> {
+        if !self.ordered {
+            return None;
+        }
+        let mut at_lo = 0.0;
+        let (mut least, mut most, mut mag) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+        for (ci, li) in c.iter().zip(self.lo) {
+            at_lo += ci * li;
+            least = least.min(*ci);
+            most = most.max(*ci);
+            mag = mag.max(ci.abs());
+        }
+        let margin = screen_margin(mag * self.reach, c.len())?;
+        if at_lo + self.rest * least > eps + margin {
+            Some(true)
+        } else if at_lo + self.rest * most <= eps - margin {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// How far a screened bound must clear a threshold before a screen may
+/// decide a pair, for terms of magnitude up to `mag` summed over `m`
+/// coordinates. It sits orders of magnitude above both the rounding of
+/// an `m`-term dot product (`≈ m·2⁻⁵³·mag`) and the `1e-12` simplex
+/// slack of [`SimplexBox::new`], so a screen decides a pair only where
+/// the exact classifier decides it the same way. `None` (screen off)
+/// when the magnitudes overflow.
+pub(crate) fn screen_margin(mag: f64, m: usize) -> Option<f64> {
+    let margin = 1e-9 * (1.0 + mag) * m.max(1) as f64;
+    (4.0 * margin).is_finite().then_some(margin)
+}
+
 /// Minimum of `c·w` over `{lo ≤ w ≤ hi, Σw = 1}` — fractional knapsack.
 /// Returns `None` if the box misses the simplex.
 pub fn box_simplex_min(c: &[f64], lo: &[f64], hi: &[f64]) -> Option<f64> {
-    let m = c.len();
-    let base: f64 = lo.iter().sum();
-    let cap: f64 = hi.iter().sum();
-    if base > 1.0 + 1e-12 || cap < 1.0 - 1e-12 {
-        return None;
-    }
-    // Start at the lower corner, spend the remaining mass on the
-    // cheapest coordinates.
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&a, &b| c[a].total_cmp(&c[b]));
-    let mut remaining = 1.0 - base;
-    let mut value: f64 = c.iter().zip(lo).map(|(ci, li)| ci * li).sum();
-    for &j in &order {
-        if remaining <= 0.0 {
-            break;
-        }
-        let room = (hi[j] - lo[j]).min(remaining);
-        value += c[j] * room;
-        remaining -= room;
-    }
-    Some(value)
+    SimplexBox::new(lo, hi).map(|b| b.min_max(c).0)
 }
 
 /// Maximum of `c·w` over the same region.
 pub fn box_simplex_max(c: &[f64], lo: &[f64], hi: &[f64]) -> Option<f64> {
-    let neg: Vec<f64> = c.iter().map(|x| -x).collect();
-    box_simplex_min(&neg, lo, hi).map(|v| -v)
+    SimplexBox::new(lo, hi).map(|b| b.min_max(c).1)
 }
 
 /// Classification of one pair's linear form against a box.
@@ -109,21 +251,66 @@ pub enum PairClass {
 }
 
 /// Classify a difference vector against a box under tie tolerance `eps`.
+/// An empty box (missing the simplex) classifies every pair undecided.
 pub fn classify(diff: &[f64], lo: &[f64], hi: &[f64], eps: f64) -> PairClass {
-    let lo_val = box_simplex_min(diff, lo, hi);
-    let hi_val = box_simplex_max(diff, lo, hi);
-    match (lo_val, hi_val) {
-        (Some(l), Some(h)) => {
-            if l > eps {
-                PairClass::AlwaysBeats
-            } else if h <= eps {
-                PairClass::NeverBeats
-            } else {
-                PairClass::Undecided
+    SimplexBox::new(lo, hi).map_or(PairClass::Undecided, |b| b.classify(diff, eps))
+}
+
+/// Per-box O(1) screen of every pair `(s, r)`: with `S(t) = t·lo`, the
+/// pair's linear form over the region lies within
+/// `S(s) − S(r) + rest·[min s − max r, max s − min r]`. Costs one score
+/// pass and one row min/max pass, `O(n·m)`, per box.
+struct ScoreScreen {
+    at_lo: Vec<f64>,
+    row_min: Vec<f64>,
+    row_max: Vec<f64>,
+    rest: f64,
+    beats_above: f64,
+    never_below: f64,
+}
+
+impl ScoreScreen {
+    fn new(features: &FeatureMatrix, region: &SimplexBox, eps: f64) -> Option<Self> {
+        if !region.ordered {
+            return None;
+        }
+        let (mut row_min, mut row_max) = (
+            vec![f64::INFINITY; features.n()],
+            vec![f64::NEG_INFINITY; features.n()],
+        );
+        let mut mag = 0.0f64;
+        for j in 0..features.m() {
+            for ((a, lo), hi) in features.col(j).iter().zip(&mut row_min).zip(&mut row_max) {
+                *lo = lo.min(*a);
+                *hi = hi.max(*a);
+                mag = mag.max(a.abs());
             }
         }
-        // Empty box: caller should have checked; treat as undecided.
-        _ => PairClass::Undecided,
+        // A pair's terms are differences of two rows: up to twice `mag`.
+        let margin = screen_margin(2.0 * mag * region.reach, features.m())?;
+        Some(ScoreScreen {
+            at_lo: features.scores(region.lo),
+            row_min,
+            row_max,
+            rest: region.rest,
+            beats_above: eps + margin,
+            never_below: eps - margin,
+        })
+    }
+
+    /// `Some(true)` if `s` beats `r` everywhere in the region,
+    /// `Some(false)` if it never does, `None` if the exact classifier
+    /// must decide.
+    #[inline]
+    fn decide(&self, s: usize, r: usize) -> Option<bool> {
+        let base = self.at_lo[s] - self.at_lo[r];
+        if base + self.rest * (self.row_min[s] - self.row_max[r]) > self.beats_above {
+            Some(true)
+        } else if base + self.rest * (self.row_max[s] - self.row_min[r]) <= self.never_below {
+            Some(false)
+        } else {
+            None
+        }
     }
 }
 
@@ -131,7 +318,10 @@ pub fn classify(diff: &[f64], lo: &[f64], hi: &[f64], eps: f64) -> PairClass {
 ///
 /// Streams over all `k·(n−1)` pairs without materializing the decided
 /// ones, so it is safe at the paper's `n = 10⁶` scale: memory is
-/// `O(undecided)`.
+/// `O(undecided)`. A per-box score screen decides most pairs in O(1)
+/// each; the rest have their difference vectors gathered and go to the
+/// exact classifier, so the result is the one per-pair exact
+/// classification would give.
 pub fn reduce_against_box(problem: &OptProblem, lo: &[f64], hi: &[f64]) -> ReducedSystem {
     let features = problem.data.features();
     let given = &problem.given;
@@ -156,9 +346,14 @@ pub fn reduce_against_box(problem: &OptProblem, lo: &[f64], hi: &[f64]) -> Reduc
     let mut diffs = Vec::new();
     let n = problem.n();
     let m = problem.m();
-    // Challenger rows are processed in blocks: the batched kernel fills a
-    // block of difference vectors one *column* at a time (each source
-    // column read contiguously), then each diff is classified.
+    let region = SimplexBox::new(lo, hi);
+    let screen = region
+        .as_ref()
+        .and_then(|b| ScoreScreen::new(features, b, eps));
+    // Pairs the screen leaves open are processed in blocks: the batched
+    // kernel fills a block of difference vectors one *column* at a time
+    // (each source column read contiguously), then each diff is
+    // classified.
     const BLOCK: usize = 128;
     let mut block_ids: Vec<usize> = Vec::with_capacity(BLOCK);
     let mut block_buf = vec![0.0f64; BLOCK * m];
@@ -168,14 +363,21 @@ pub fn reduce_against_box(problem: &OptProblem, lo: &[f64], hi: &[f64]) -> Reduc
             block_ids.clear();
             while s < n && block_ids.len() < BLOCK {
                 if s != r {
-                    block_ids.push(s);
+                    match screen.as_ref().and_then(|sc| sc.decide(s, r)) {
+                        Some(true) => fixed_beats[slot] += 1,
+                        Some(false) => {}
+                        None => block_ids.push(s),
+                    }
                 }
                 s += 1;
             }
             features.block_diffs_into(&block_ids, r, &mut block_buf);
             for (b, &sid) in block_ids.iter().enumerate() {
                 let diff = &block_buf[b * m..(b + 1) * m];
-                match classify(diff, lo, hi, eps) {
+                let class = region
+                    .as_ref()
+                    .map_or(PairClass::Undecided, |rg| rg.classify(diff, eps));
+                match class {
                     PairClass::AlwaysBeats => fixed_beats[slot] += 1,
                     PairClass::NeverBeats => {}
                     PairClass::Undecided => {

@@ -239,16 +239,14 @@ impl OptProblem {
     /// Objective value of `weights` if all position constraints are met,
     /// `None` otherwise.
     pub fn evaluate_constrained(&self, weights: &[f64]) -> Option<u64> {
-        if !self.positions.is_empty() {
-            let scores = rankhow_ranking::scores_f64(self.data.features(), weights);
-            let ok = self
-                .positions
-                .satisfied(|t| rankhow_ranking::rank_of_in(&scores, t, self.tol.eps));
-            if !ok {
-                return None;
-            }
+        if self.positions.is_empty() {
+            return Some(self.objective_value(weights));
         }
-        Some(self.objective_value(weights))
+        // One score vector serves both the window check and the objective.
+        let scores = rankhow_ranking::scores_f64(self.data.features(), weights);
+        self.positions
+            .satisfied(|t| rankhow_ranking::rank_of_in(&scores, t, self.tol.eps))
+            .then(|| self.objective_of_scores(&scores))
     }
 
     /// Replace the constraint predicate (constraint-exploration loop of
@@ -289,11 +287,15 @@ impl OptProblem {
     /// [`OptProblem::evaluate`] when the objective is
     /// [`ErrorMeasure::Position`].
     pub fn objective_value(&self, weights: &[f64]) -> u64 {
+        self.objective_of_scores(&rankhow_ranking::scores_f64(self.data.features(), weights))
+    }
+
+    /// [`OptProblem::objective_value`] of precomputed scores.
+    fn objective_of_scores(&self, scores: &[f64]) -> u64 {
         if self.objective == ErrorMeasure::Position {
-            return self.evaluate(weights);
+            return rankhow_ranking::evaluate_scores(&self.given, scores, self.tol.eps);
         }
-        let scores = rankhow_ranking::scores_f64(self.data.features(), weights);
-        let ranks = rankhow_ranking::score_ranks(&scores, self.tol.eps);
+        let ranks = rankhow_ranking::score_ranks(scores, self.tol.eps);
         rankhow_ranking::error_by_measure(self.objective, &self.given, &ranks)
     }
 }

@@ -72,9 +72,22 @@ pub fn verify_claim(problem: &OptProblem, weights: &[f64], claimed_error: u64) -
 /// strictly beat the certified optimum.
 ///
 /// Returns `(s, r, f(s) − f(r))` for each offending pair.
+///
+/// The batched scores screen the `k·(n−1)` pairs: a pair whose score
+/// difference clears the band by a rounding margin cannot be in it, so
+/// only pairs near the band pay for the exact pairwise-difference dot.
+/// The list is the one a full scan returns.
 pub fn gap_band_pairs(problem: &OptProblem, weights: &[f64]) -> Vec<(usize, usize, f64)> {
     let features = problem.data.features();
     let (e1, e2) = (problem.tol.eps1, problem.tol.eps2);
+    let scores = features.scores(weights);
+    let mag = features
+        .column_ranges()
+        .iter()
+        .fold(0.0f64, |a, (lo, hi)| a.max(lo.abs()).max(hi.abs()));
+    let reach: f64 = weights.iter().map(|w| w.abs()).sum();
+    // Pair terms are differences of two rows: up to twice `mag`.
+    let margin = crate::formulation::screen_margin(2.0 * mag * reach, features.m());
     let mut out = Vec::new();
     let mut row_r = vec![0.0; features.m()];
     let mut row_s = vec![0.0; features.m()];
@@ -83,6 +96,12 @@ pub fn gap_band_pairs(problem: &OptProblem, weights: &[f64]) -> Vec<(usize, usiz
         for s in 0..features.n() {
             if s == r {
                 continue;
+            }
+            if let Some(margin) = margin {
+                let d = scores[s] - scores[r];
+                if d <= e2 - margin || d >= e1 + margin {
+                    continue;
+                }
             }
             features.copy_row_into(s, &mut row_s);
             // Pairwise-difference dot, matching the MILP's constraint

@@ -30,6 +30,7 @@ pub use error::{
 };
 pub use given::{GivenRanking, RankingError};
 pub use score::{
-    rank_of_in, score_ranks, score_ranks_exact, scores_exact, scores_f64, scores_f64_into,
+    rank_of_in, ranks_of_in, score_ranks, score_ranks_exact, scores_exact, scores_f64,
+    scores_f64_into,
 };
-pub use tolerances::{checked_tie_eps, evaluate_weights, Tolerances};
+pub use tolerances::{checked_tie_eps, evaluate_scores, evaluate_weights, Tolerances};

@@ -60,6 +60,44 @@ pub fn rank_of_in(scores: &[f64], r: usize, eps: f64) -> u32 {
     scores.iter().filter(|&&s| s - sr > eps).count() as u32 + 1
 }
 
+/// Ranks (Definition 2) of the tuples in `subset` among all tuples, in
+/// `subset` order — equal to `rank_of_in` per tuple, in one pass over
+/// `scores` instead of one per ranked tuple: O(n·log k).
+///
+/// For a fixed challenger score `s`, the predicate `s − sr > ε` is
+/// monotone in `sr` (f64 subtraction with a fixed minuend is), so the
+/// ranked tuples a challenger beats are a prefix of the ranked scores
+/// in ascending order: one compare against the lowest skips a
+/// challenger that beats none, a binary search counts the rest.
+pub fn ranks_of_in(scores: &[f64], subset: &[usize], eps: f64) -> Vec<u32> {
+    let eps = checked_tie_eps(eps);
+    let mut ranks = vec![1u32; subset.len()];
+    // A NaN score is beaten by nothing: it keeps rank 1 and stays out
+    // of the order, where it would break the monotone prefix.
+    let mut order: Vec<usize> = (0..subset.len())
+        .filter(|&i| !scores[subset[i]].is_nan())
+        .collect();
+    order.sort_unstable_by(|&a, &b| scores[subset[a]].total_cmp(&scores[subset[b]]));
+    let sorted: Vec<f64> = order.iter().map(|&i| scores[subset[i]]).collect();
+    let Some(&lowest) = sorted.first() else {
+        return ranks;
+    };
+    // beating[c]: challengers beating exactly the `c` lowest ranked scores.
+    let mut beating = vec![0u32; sorted.len() + 1];
+    for &s in scores {
+        if s - lowest > eps {
+            beating[sorted.partition_point(|&sr| s - sr > eps)] += 1;
+        }
+    }
+    // `sorted[i]` is beaten by every challenger beating more than `i`.
+    let mut beaten = 0u32;
+    for i in (0..sorted.len()).rev() {
+        beaten += beating[i + 1];
+        ranks[order[i]] = beaten + 1;
+    }
+    ranks
+}
+
 /// Exact competition ranks for the tuples in `subset`, computed with
 /// rational arithmetic: `ρ(r) = |{s : score(s) − score(r) > ε}| + 1`.
 ///

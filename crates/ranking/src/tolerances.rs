@@ -130,22 +130,28 @@ pub fn evaluate_weights(
     weights: &[f64],
     eps: f64,
 ) -> u64 {
+    evaluate_scores(given, &crate::scores_f64(features, weights), eps)
+}
+
+/// Position error of precomputed scores (one per tuple) under tie
+/// tolerance `eps` — [`evaluate_weights`] for a caller that already
+/// holds the scores.
+pub fn evaluate_scores(given: &crate::GivenRanking, scores: &[f64], eps: f64) -> u64 {
     let eps = checked_tie_eps(eps);
-    let scores = crate::scores_f64(features, weights);
     // Only the ranks of the top-k tuples matter; computing just those is
-    // O(k·n) instead of O(n log n) and avoids allocating the full vector
-    // when k is small.
+    // one O(n·log k) pass instead of an O(n log n) sort, and avoids
+    // allocating the full vector when k is small.
     let top = given.top_k();
-    if top.len() * 8 < features.n() {
+    if top.len() * 8 < scores.len() {
         top.iter()
-            .map(|&i| {
-                let rho = crate::rank_of_in(&scores, i, eps) as i64;
+            .zip(crate::ranks_of_in(scores, top, eps))
+            .map(|(&i, rho)| {
                 let pi = given.position(i).unwrap() as i64;
-                (pi - rho).unsigned_abs()
+                (pi - rho as i64).unsigned_abs()
             })
             .sum()
     } else {
-        let ranks = crate::score_ranks(&scores, eps);
+        let ranks = crate::score_ranks(scores, eps);
         crate::position_error(given, &ranks)
     }
 }

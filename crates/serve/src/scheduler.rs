@@ -635,10 +635,10 @@ fn worker_loop(shared: &Shared, wid: usize) {
             return; // shutdown, queue drained
         };
         if entry.job.is_finished() {
-            // Drop the queue's copy of a finished job (and make sure it
-            // was finalized, e.g. when `Done` raced between workers).
-            finalize(shared, &entry);
-            entry.claims.fetch_sub(1, Ordering::AcqRel);
+            // Drop the queue's copy of a finished job (finalizing it if
+            // this is the last claim, e.g. when `Done` raced between
+            // workers).
+            release(shared, &entry);
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
@@ -675,23 +675,25 @@ fn worker_loop(shared: &Shared, wid: usize) {
             entry.job.step(wid, &mut scratch, shared.slice_nodes)
         }));
         match stepped {
-            Ok(StepOutcome::Done) => finalize(shared, &entry),
+            // Finalized by whichever claim on the job is released last:
+            // a sibling lane may still be mid-step, and its counters
+            // flush into the job's stats only when that step returns.
+            Ok(StepOutcome::Done) | Ok(StepOutcome::Progress) => {}
             Ok(StepOutcome::Starved) => std::thread::yield_now(),
-            Ok(StepOutcome::Progress) => {}
             Err(payload) => {
                 shared.job_panics.fetch_add(1, Ordering::AcqRel);
                 if let Some(tel) = entry.job.telemetry() {
                     tel.event(rankhow_obs::Event::Failed);
                 }
                 entry.job.fail();
-                finalize(shared, &entry);
-                entry.claims.fetch_sub(1, Ordering::AcqRel);
+                release(shared, &entry);
                 // The unwound step may have left the scratch's LP
                 // tableau mid-rebuild; start the next slice clean.
                 scratch = EngineScratch::new();
                 // An injected *worker death* additionally kills this
-                // thread: re-raise after the job is safely finalized so
-                // the DeathWatch supervisor takes over.
+                // thread: re-raise after its claim is released (the job
+                // is failed, and finalized by its last claim) so the
+                // DeathWatch supervisor takes over.
                 #[cfg(feature = "fault-inject")]
                 if payload.is::<rankhow_core::fault::WorkerDeath>() {
                     if let Some(tel) = entry.job.telemetry() {
@@ -707,7 +709,18 @@ fn worker_loop(shared: &Shared, wid: usize) {
                 continue;
             }
         }
-        entry.claims.fetch_sub(1, Ordering::AcqRel);
+        release(shared, &entry);
+    }
+}
+
+/// Drop a worker's claim on `entry`. The last claim released on a
+/// finished job finalizes it: every worker that stepped the job has
+/// flushed its counters by then, so the delivered stats are complete.
+/// A job finishes only inside a claimed step, so some release always
+/// sees both conditions.
+fn release(shared: &Shared, entry: &JobEntry) {
+    if entry.claims.fetch_sub(1, Ordering::AcqRel) == 1 && entry.job.is_finished() {
+        finalize(shared, entry);
     }
 }
 
