@@ -1,7 +1,7 @@
 //! Warm-started vs cold LP benchmarks for the incremental layer behind
 //! PR 5: the full node loop with `SolverConfig::warm_lp` on/off, and the
-//! isolated `2m`-probe objective-swap sweep against fresh two-phase
-//! solves of the same region.
+//! isolated `2m` box-tightening probes (objective swaps) against fresh
+//! two-phase solves of the same region.
 //!
 //! Kept compiling by the CI `cargo bench --no-run` step; run with
 //! `cargo bench --bench lp_warmstart`.
@@ -73,9 +73,9 @@ fn node_region(m: usize, cuts: usize) -> Problem {
 
 /// The `2m` box-tightening probes of one region: cold re-solves the
 /// region from an empty basis per probe; warm loads the tableau once
-/// and objective-swaps through the sweep.
-fn probe_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_warmstart/probe_sweep");
+/// and objective-swaps through the probes.
+fn box_probes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lp_warmstart/box_probes");
     for &(m, cuts) in &[(5usize, 8usize), (8, 16)] {
         let region = node_region(m, cuts);
         group.bench_with_input(
@@ -114,5 +114,5 @@ fn probe_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, node_loop, probe_sweep);
+criterion_group!(benches, node_loop, box_probes);
 criterion_main!(benches);

@@ -7,16 +7,15 @@
 //!
 //! `cargo bench --bench solver_scaling -- --json BENCH_PR9.json`
 //! skips the criterion loop and instead emits a machine-readable
-//! perf-trajectory report — nodes/sec, LPs/sec, pivots, probe-skip and
-//! probe-batch counters, and the LP warm-hit rate per workload, in four
-//! modes (`kern` = warm + propagation + batched probe re-pricing,
-//! `prop` = warm + decided-pair bound propagation, `warm` = warm only,
-//! `cold` = escape hatch) — so successive PRs can diff solver
-//! throughput without parsing bench prose. The report also carries
-//! repeated-query *serving* rows: duplicate-heavy and
+//! perf-trajectory report — nodes/sec, LPs/sec, pivots, probe-skip
+//! counters, and the LP warm-hit rate per workload, in three modes
+//! (`prop` = warm + decided-pair bound propagation, the default engine;
+//! `warm` = warm only; `cold` = escape hatch) — so successive PRs can
+//! diff solver throughput without parsing bench prose. The report also
+//! carries repeated-query *serving* rows: duplicate-heavy and
 //! constraint-variant streams submitted sequentially through a router,
 //! comparing the cross-query solution cache (`cache` mode, hit/miss/
-//! eviction counters included) against cold per-query serving (`kern`
+//! eviction counters included) against per-query serving (`uncached`
 //! mode); every serving query carries a telemetry handle, so these
 //! rows also report the per-query admission→completion latency
 //! distribution (`latency_p50_ns` / `latency_p99_ns`).
@@ -117,18 +116,15 @@ fn simplex_workspace(c: &mut Criterion) {
     group.finish();
 }
 
-/// One timed solve of a workload in one of four modes — `kern` (warm
-/// LPs + propagation + batched probe re-pricing, the default engine),
-/// `prop` (warm LPs + decided-pair bound propagation, per-probe
-/// objective swaps — the PR-6 configuration), `warm` (warm LPs only —
-/// the PR-5 configuration), or `cold` (the everything-off escape
-/// hatch).
+/// One timed solve of a workload in one of three modes — `prop` (warm
+/// LPs + decided-pair bound propagation, the default engine), `warm`
+/// (warm LPs only — the PR-5 configuration), or `cold` (the
+/// everything-off escape hatch).
 fn timed_solve(problem: &rankhow_core::OptProblem, mode: &str) -> (f64, rankhow_core::Solution) {
-    let (warm_lp, propagate, batched_kernels) = match mode {
-        "kern" => (true, true, true),
-        "prop" => (true, true, false),
-        "warm" => (true, false, false),
-        "cold" => (false, false, false),
+    let (warm_lp, propagate) = match mode {
+        "prop" => (true, true),
+        "warm" => (true, false),
+        "cold" => (false, false),
         other => panic!("unknown bench mode {other}"),
     };
     let start = std::time::Instant::now();
@@ -136,7 +132,6 @@ fn timed_solve(problem: &rankhow_core::OptProblem, mode: &str) -> (f64, rankhow_
         threads: 1,
         warm_lp,
         propagate,
-        batched_kernels,
         node_limit: 3_000,
         time_limit: Some(Duration::from_secs(10)),
         ..SolverConfig::default()
@@ -154,8 +149,7 @@ fn json_row(name: &str, mode: &str, secs: f64, sol: &rankhow_core::Solution) -> 
         concat!(
             "{{\"workload\":\"{}\",\"mode\":\"{}\",\"error\":{},\"optimal\":{},",
             "\"nodes\":{},\"lp_solves\":{},\"lp_pivots\":{},",
-            "\"probes_skipped\":{},\"coords_skipped\":{},",
-            "\"probes_batched\":{},\"batched_sweeps\":{},\"lps_per_node\":{:.2},",
+            "\"probes_skipped\":{},\"coords_skipped\":{},\"lps_per_node\":{:.2},",
             "\"nodes_per_sec\":{:.1},\"lps_per_sec\":{:.1},",
             "\"warm_hit_rate\":{:.4},\"elapsed_sec\":{:.6}}}"
         ),
@@ -168,8 +162,6 @@ fn json_row(name: &str, mode: &str, secs: f64, sol: &rankhow_core::Solution) -> 
         s.lp_pivots,
         s.probes_skipped,
         s.coords_skipped,
-        s.probe_objectives_batched,
-        s.batched_sweeps,
         s.lp_solves as f64 / s.nodes.max(1) as f64,
         s.nodes as f64 / secs,
         s.lp_solves as f64 / secs,
@@ -181,8 +173,8 @@ fn json_row(name: &str, mode: &str, secs: f64, sol: &rankhow_core::Solution) -> 
 /// One serving pass: a query stream submitted sequentially (submit,
 /// join, next — the realistic order for repeated traffic: a duplicate
 /// arrives after its first solve completed) through a 1-pool × 1-worker
-/// router, with the cross-query cache on (`cache` mode) or off (`kern`
-/// mode — the PR-7 serving configuration). Every query carries a
+/// router, with the cross-query cache on (`cache` mode) or off
+/// (`uncached` mode). Every query carries a
 /// telemetry handle into one shared metrics registry, so the row can
 /// report the per-query admission→completion latency distribution
 /// alongside the aggregate counters.
@@ -196,7 +188,7 @@ fn timed_serve(
 ) {
     let cache = match mode {
         "cache" => true,
-        "kern" => false,
+        "uncached" => false,
         other => panic!("unknown serving mode {other}"),
     };
     let router = Router::new(RouterConfig {
@@ -270,7 +262,7 @@ fn serve_row(
 /// Repeated-query serving rows: an exact-duplicate stream (half the
 /// queries repeat an earlier one) and a near-variant stream (same
 /// instance under a sweep of weight-constraint bounds), each served in
-/// `cache` and `kern` mode. Best-of-3, modes interleaved, mirroring the
+/// `cache` and `uncached` mode. Best-of-3, modes interleaved, mirroring the
 /// engine rows.
 fn serving_rows() -> Vec<String> {
     let distinct: Vec<Arc<OptProblem>> = (0..4)
@@ -308,7 +300,7 @@ fn serving_rows() -> Vec<String> {
         ("repeat_uniform_n300_k5", 0.5, &repeated),
         ("nearvar_uniform_n300_k5", 0.8, &variants),
     ];
-    let modes = ["cache", "kern"];
+    let modes = ["cache", "uncached"];
     let mut rows = Vec::new();
     for (name, repeat_p, queries) in streams {
         type ServeBest = (
@@ -348,7 +340,7 @@ fn json_report(path: &std::path::Path) {
         ("anticorr_n120_k4", Distribution::AntiCorrelated, 120, 4),
         ("uniform_n600_k8", Distribution::Uniform, 600, 8),
     ];
-    let modes = ["kern", "prop", "warm", "cold"];
+    let modes = ["prop", "warm", "cold"];
     let mut rows = Vec::new();
     for (name, dist, n, k) in workloads {
         let problem = setups::synthetic_problem(dist, 0, n, 4, k, 3, false);

@@ -12,12 +12,12 @@ use crate::formulation::{self, ReducedSystem};
 use crate::OptProblem;
 use rankhow_linalg::kernels;
 use rankhow_lp::{
-    chebyshev_center_with, BasisSnapshot, IncrementalLp, LoadStatus, Op, ProbeOutcome,
-    Problem as Lp, Sense, SimplexWorkspace, Status, VarId,
+    chebyshev_center_with, BasisSnapshot, IncrementalLp, LoadStatus, Op, Problem as Lp, Sense,
+    SimplexWorkspace, Status, VarId,
 };
 use rankhow_obs::Event;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Nodes a blocking driver expands per [`SolveJob::step`] slice. The
 /// slice length only bounds how often limits/cancellation are
@@ -84,6 +84,44 @@ pub(super) enum Probe {
     Infeasible,
     /// Numerically stuck or unbounded: fall back to the static bound.
     Stuck,
+}
+
+/// Sampled split of one box tightening's time outside its probe LPs:
+/// each lap charges the time since the previous mark to phase A (skip
+/// rules and witness checks) or phase C (bound resolution, witness
+/// copies and the numerical guard). A probe's LP time lies between a
+/// lap and a bare `mark`, so it is charged to neither. A clock read
+/// costs about as much as the work between two laps, so the laps are
+/// few (one per solved probe plus three) and the probe boundaries reuse
+/// the reads the `lp_solve` histogram already makes.
+struct PhaseClock {
+    last: Instant,
+    a: Duration,
+    c: Duration,
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        PhaseClock {
+            last: Instant::now(),
+            a: Duration::ZERO,
+            c: Duration::ZERO,
+        }
+    }
+
+    fn lap_a(&mut self, now: Instant) {
+        self.a += now - self.last;
+        self.last = now;
+    }
+
+    fn lap_c(&mut self, now: Instant) {
+        self.c += now - self.last;
+        self.last = now;
+    }
+
+    fn mark(&mut self, now: Instant) {
+        self.last = now;
+    }
 }
 
 /// Safety margin so LP round-off cannot make the tightened box *tighter*
@@ -246,12 +284,11 @@ impl SearchView<'_> {
         }
     }
 
-    /// Witness rule, shared by the sequential and batched tightening
-    /// paths: whether inherited witness row `slot` is still feasible for
-    /// this node's region under the inherit gate — branch nodes check
-    /// the one new branch row, cross-query root nodes check membership
-    /// in the new root region (box + weight constraints). A live witness
-    /// makes the inherited bound exact for this region.
+    /// Witness rule: whether inherited witness row `slot` is still
+    /// feasible for this node's region under the inherit gate — branch
+    /// nodes check the one new branch row, cross-query root nodes check
+    /// membership in the new root region (box + weight constraints). A
+    /// live witness makes the inherited bound exact for this region.
     fn witness_alive(&self, inh: &Inherit<'_>, slot: usize, m: usize) -> bool {
         if !inh.prop.wit_ok[slot] {
             return false;
@@ -317,6 +354,12 @@ impl SearchView<'_> {
     /// and optimal), or when no new decision touches the coordinate
     /// (then the parent bound is a sound relaxation). Skips never count
     /// as `lp_solves`; they count as `probes_skipped`.
+    ///
+    /// Sampled phase profiling: when telemetry selects this tightening,
+    /// its time outside the probe LPs goes to two histograms, one entry
+    /// each — `tighten_a` for the skip rules and witness checks, and
+    /// `tighten_c` for bound resolution, witness copies and the
+    /// numerical guard.
     fn tighten_box_with(
         &self,
         region: &Lp,
@@ -331,6 +374,10 @@ impl SearchView<'_> {
             wit: vec![0.0; 2 * m * m],
             wit_ok: vec![false; 2 * m],
         };
+        let obs = self.config.obs();
+        let mut clock = obs
+            .filter(|tel| tel.sample_phase())
+            .map(|_| PhaseClock::start());
         for j in 0..m {
             let (static_lo, static_hi) = region.bounds(j);
             // `changed` is all-ones when m > 64, so wide instances never
@@ -367,10 +414,17 @@ impl SearchView<'_> {
                 scratch.stats.lp_solves += 1;
                 // LP-time histogram: one entry per probe, so the
                 // lp_solve count reconciles with `SolverStats::lp_solves`.
-                let t0 = self.config.obs().map(|_| Instant::now());
+                let t0 = obs.map(|_| Instant::now());
+                if let (Some(c), Some(t0)) = (&mut clock, t0) {
+                    c.lap_a(t0);
+                }
                 let p = probe(scratch, j, sense);
-                if let (Some(tel), Some(t0)) = (self.config.obs(), t0) {
-                    tel.metrics.lp_solve.record(t0.elapsed());
+                if let (Some(tel), Some(t0)) = (obs, t0) {
+                    let t1 = Instant::now();
+                    tel.metrics.lp_solve.record(t1 - t0);
+                    if let Some(c) = &mut clock {
+                        c.mark(t1);
+                    }
                 }
                 let resolved = if slot < m {
                     resolve_probe_lo(&p, static_lo)
@@ -389,16 +443,30 @@ impl SearchView<'_> {
                     t.wit[slot * m..(slot + 1) * m].copy_from_slice(&x);
                     t.wit_ok[slot] = true;
                 }
+                if let Some(c) = &mut clock {
+                    c.lap_c(Instant::now());
+                }
             }
             if coord_skips == 2 {
                 scratch.stats.coords_skipped += 1;
             }
-            // Numerical guard.
+        }
+        if let Some(c) = &mut clock {
+            c.lap_a(Instant::now());
+        }
+        // Numerical guard (per coordinate; no probe reads the box, so it
+        // runs after the loop and its time is one phase-C lap).
+        for j in 0..m {
             if t.lo[j] > t.hi[j] {
                 let mid = 0.5 * (t.lo[j] + t.hi[j]);
                 t.lo[j] = mid;
                 t.hi[j] = mid;
             }
+        }
+        if let (Some(tel), Some(mut c)) = (obs, clock) {
+            c.lap_c(Instant::now());
+            tel.metrics.tighten_a.record(c.a);
+            tel.metrics.tighten_c.record(c.c);
         }
         Some(t)
     }
@@ -439,146 +507,6 @@ impl SearchView<'_> {
             Self::probe_outcome(scratch.inc.solve_objective(&[(j, 1.0)], sense))
         })
         .expect("a warm-loaded region is feasible (load established it)")
-    }
-
-    /// Batched warm tightening ([`SolverConfig::batched_kernels`]):
-    /// apply the same skip rules in the same slot order as
-    /// [`SearchView::tighten_box_with`], then solve every surviving
-    /// probe in **one** [`IncrementalLp::solve_objectives`] sweep. The
-    /// sweep visits probes in slot order against the evolving basis —
-    /// the same pivots, bounds, and witnesses as the per-probe path,
-    /// bit for bit — but prices each probe from its ≤ 2 support rows
-    /// instead of a full reduced-cost rebuild and shares one optimizer
-    /// extraction across consecutive settled probes. Swept probes still
-    /// count as `lp_solves` — they are the same objective solves, just
-    /// cheaper — plus `probe_objectives_batched`; a failed probe maps
-    /// to [`Probe::Stuck`] exactly like the per-probe path's
-    /// non-optimal statuses do.
-    fn tighten_box_batched(
-        &self,
-        region: &Lp,
-        scratch: &mut EngineScratch,
-        inherit: Option<&Inherit<'_>>,
-    ) -> Tightened {
-        let m = self.problem.m();
-        let mut t = Tightened {
-            lo: vec![0.0; m],
-            hi: vec![1.0; m],
-            wit: vec![0.0; 2 * m * m],
-            wit_ok: vec![false; 2 * m],
-        };
-        // Phase profiling (sampled): time phases A and C of this node's
-        // tightening when the telemetry sampling knob selects it.
-        let obs = self.config.obs();
-        let sampled = obs.is_some_and(|tel| tel.sample_phase());
-        let phase_a_t0 = sampled.then(Instant::now);
-        // Phase A: skip rules (witness / untouched coordinate), same
-        // order and accounting as the sequential path; survivors queue.
-        let mut probes: Vec<(usize, Sense)> = Vec::with_capacity(2 * m);
-        let mut probe_slots: Vec<usize> = Vec::with_capacity(2 * m);
-        let mut coord_skips = vec![0u8; m];
-        for j in 0..m {
-            let untouched =
-                inherit.is_some_and(|inh| j < 64 && inh.prop.changed & (1u64 << j) == 0);
-            for (slot, sense) in [(j, Sense::Minimize), (m + j, Sense::Maximize)] {
-                let witness_alive = inherit.is_some_and(|inh| self.witness_alive(inh, slot, m));
-                if witness_alive || untouched {
-                    let inh = inherit.unwrap();
-                    if slot < m {
-                        t.lo[j] = inh.prop.lo[j];
-                    } else {
-                        t.hi[j] = inh.prop.hi[j];
-                    }
-                    if witness_alive {
-                        t.wit[slot * m..(slot + 1) * m]
-                            .copy_from_slice(&inh.prop.wit[slot * m..(slot + 1) * m]);
-                        t.wit_ok[slot] = true;
-                    }
-                    scratch.stats.probes_skipped += 1;
-                    coord_skips[j] += 1;
-                    continue;
-                }
-                scratch.stats.lp_solves += 1;
-                probes.push((j, sense));
-                probe_slots.push(slot);
-            }
-        }
-        if let (Some(tel), Some(t0)) = (obs, phase_a_t0) {
-            tel.metrics.tighten_a.record(t0.elapsed());
-        }
-        // Phase B: one sweep solves all survivors.
-        let mut outcomes: Vec<ProbeOutcome> = Vec::new();
-        let mut witnesses: Vec<Vec<f64>> = Vec::new();
-        if !probes.is_empty() {
-            scratch.stats.batched_sweeps += 1;
-            let t0 = obs.map(|_| Instant::now());
-            scratch
-                .inc
-                .solve_objectives(&probes, &mut outcomes, &mut witnesses);
-            if let (Some(tel), Some(t0)) = (obs, t0) {
-                let elapsed = t0.elapsed();
-                tel.metrics.probe_sweep.record(elapsed);
-                // The sweep is `probes.len()` objective solves done in
-                // one pass; spread its time evenly so the lp_solve
-                // histogram count still reconciles with
-                // `SolverStats::lp_solves` (Phase A counted each
-                // survivor there).
-                let per = (elapsed.as_nanos() / probes.len() as u128) as u64;
-                for _ in 0..probes.len() {
-                    tel.metrics.lp_solve.record_nanos(per);
-                }
-                tel.event(Event::ProbeSweep {
-                    probes: probes.len() as u64,
-                });
-            }
-        }
-        let phase_c_t0 = sampled.then(Instant::now);
-        // Phase C: resolve in slot order.
-        for (k, &slot) in probe_slots.iter().enumerate() {
-            let (j, _) = probes[k];
-            let p = match outcomes[k] {
-                ProbeOutcome::Solved { value, witness } => {
-                    scratch.stats.probe_objectives_batched += 1;
-                    Probe::Value(value, witnesses[witness].clone())
-                }
-                // The sweep failed this probe under exactly the
-                // conditions `solve_objective` reports a non-optimal
-                // status — which `probe_outcome` maps to `Stuck`.
-                ProbeOutcome::Failed => Probe::Stuck,
-            };
-            let (static_lo, static_hi) = region.bounds(j);
-            let resolved = if slot < m {
-                resolve_probe_lo(&p, static_lo)
-            } else {
-                resolve_probe_hi(&p, static_hi)
-            };
-            let bound = resolved.expect("a warm-loaded region is feasible (load established it)");
-            if slot < m {
-                t.lo[j] = bound;
-            } else {
-                t.hi[j] = bound;
-            }
-            if let Probe::Value(_, x) = p {
-                t.wit[slot * m..(slot + 1) * m].copy_from_slice(&x);
-                t.wit_ok[slot] = true;
-            }
-        }
-        // Per-coordinate accounting and the numerical guard, identical
-        // to the sequential path's per-j epilogue.
-        for j in 0..m {
-            if coord_skips[j] == 2 {
-                scratch.stats.coords_skipped += 1;
-            }
-            if t.lo[j] > t.hi[j] {
-                let mid = 0.5 * (t.lo[j] + t.hi[j]);
-                t.lo[j] = mid;
-                t.hi[j] = mid;
-            }
-        }
-        if let (Some(tel), Some(t0)) = (obs, phase_c_t0) {
-            tel.metrics.tighten_c.record(t0.elapsed());
-        }
-        t
     }
 
     /// Expand one node: tighten its box, classify the live pairs, prune
@@ -670,9 +598,7 @@ impl SearchView<'_> {
 
         // Tighten the node's weight box via per-coordinate LPs (minus
         // whatever probes bound propagation answers from parent facts).
-        let tightened = if inc_ready && self.config.batched_kernels {
-            self.tighten_box_batched(&region, scratch, inherit.as_ref())
-        } else if inc_ready {
+        let tightened = if inc_ready {
             self.tighten_box_warm(&region, scratch, inherit.as_ref())
         } else {
             match self.tighten_box(&region, scratch, inherit.as_ref()) {

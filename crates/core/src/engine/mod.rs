@@ -130,18 +130,6 @@ pub struct SolverConfig {
     /// fact per node (the pre-propagation behaviour); the parity suite
     /// pins that both modes prove identical optimal errors.
     pub propagate: bool,
-    /// Batch the `2m` box-tightening probe objectives per node: one
-    /// [`rankhow_lp::IncrementalLp::solve_objectives`] sweep re-prices
-    /// every surviving probe against the loaded basis (≤ 2 chunked
-    /// row-axpys per probe instead of a full reduced-cost rebuild);
-    /// probes the basis already optimizes settle with zero pivots and
-    /// share one extraction, only the rest pay an individual phase-2
-    /// run. Requires [`SolverConfig::warm_lp`] (the cold path has no
-    /// shared tableau to sweep). `false` is the runtime escape hatch
-    /// that restores strictly per-probe objective swaps; the
-    /// compile-time `scalar-kernels` feature is the other hatch,
-    /// swapping the chunked kernels themselves for scalar loops.
-    pub batched_kernels: bool,
     /// Root seed from a cross-query solution cache ([`RootSeed`]): prior
     /// solutions of a *containing* instance offered as incumbents, plus
     /// optionally that solve's root artifacts (basis snapshot +
@@ -163,8 +151,8 @@ pub struct SolverConfig {
     /// Solve-path telemetry ([`rankhow_obs::SolveTelemetry`]): latency
     /// histograms in the shared registry, per-query flight-recorder
     /// events, and sampled engine-phase profiling. `None` (the default)
-    /// records nothing and costs nothing on the hot path; the `obs-off`
-    /// cargo feature removes even the `None` checks at compile time.
+    /// records nothing; the hot path then pays one `Option` check per
+    /// record site.
     /// Telemetry never influences the search — on/off parity is pinned
     /// by proptest.
     pub telemetry: Option<Arc<rankhow_obs::SolveTelemetry>>,
@@ -189,7 +177,6 @@ impl Default for SolverConfig {
             root_samples: 512,
             warm_lp: true,
             propagate: true,
-            batched_kernels: true,
             root_seed: None,
             threads: default_threads(),
             telemetry: None,
@@ -201,15 +188,10 @@ impl Default for SolverConfig {
 
 impl SolverConfig {
     /// The telemetry handle to record against, or `None` when telemetry
-    /// is runtime-disabled or compiled out (`obs-off`): guarding every
-    /// record site on this lets the disabled branch fold away.
+    /// is off.
     #[inline]
     pub fn obs(&self) -> Option<&rankhow_obs::SolveTelemetry> {
-        if rankhow_obs::ENABLED {
-            self.telemetry.as_deref()
-        } else {
-            None
-        }
+        self.telemetry.as_deref()
     }
 }
 
@@ -243,15 +225,6 @@ pub struct SolverStats {
     /// max probe) was skipped at some node — the per-coordinate view of
     /// `probes_skipped`.
     pub coords_skipped: usize,
-    /// Batched probe re-pricing sweeps run
-    /// ([`SolverConfig::batched_kernels`]): one per node whose warm
-    /// tightening had at least one probe survive the skip rules.
-    pub batched_sweeps: usize,
-    /// Probe objectives answered by a batch sweep — support-row pricing
-    /// instead of a full reduced-cost rebuild, shared optimizer
-    /// extraction across settled runs (each still counts in
-    /// `lp_solves`: it is the same objective solve, done cheaper).
-    pub probe_objectives_batched: usize,
     /// Incumbent improvements.
     pub incumbents: usize,
     /// Queries answered entirely from a cross-query solution cache —
@@ -300,8 +273,6 @@ impl SolverStats {
         self.lp_pivots += other.lp_pivots;
         self.probes_skipped += other.probes_skipped;
         self.coords_skipped += other.coords_skipped;
-        self.batched_sweeps += other.batched_sweeps;
-        self.probe_objectives_batched += other.probe_objectives_batched;
         self.incumbents += other.incumbents;
         self.cache_exact_hits += other.cache_exact_hits;
         self.cache_near_hits += other.cache_near_hits;
@@ -324,11 +295,6 @@ impl SolverStats {
         obj.field_u64("lp_pivots", self.lp_pivots);
         obj.field_u64("probes_skipped", self.probes_skipped as u64);
         obj.field_u64("coords_skipped", self.coords_skipped as u64);
-        obj.field_u64("batched_sweeps", self.batched_sweeps as u64);
-        obj.field_u64(
-            "probe_objectives_batched",
-            self.probe_objectives_batched as u64,
-        );
         obj.field_u64("incumbents", self.incumbents as u64);
         obj.field_u64("cache_exact_hits", self.cache_exact_hits as u64);
         obj.field_u64("cache_near_hits", self.cache_near_hits as u64);

@@ -61,21 +61,10 @@ fn solve(
     propagate: bool,
     threads: usize,
 ) -> rankhow_core::Solution {
-    solve_b(problem, warm_lp, propagate, true, threads)
-}
-
-fn solve_b(
-    problem: &OptProblem,
-    warm_lp: bool,
-    propagate: bool,
-    batched_kernels: bool,
-    threads: usize,
-) -> rankhow_core::Solution {
     RankHow::with_config(SolverConfig {
         threads,
         warm_lp,
         propagate,
-        batched_kernels,
         ..SolverConfig::default()
     })
     .solve(problem)
@@ -130,51 +119,6 @@ proptest! {
         prop_assert_eq!(cold4.error, cold.error);
     }
 
-    /// The PR-7 three-way pin: the batched probe re-pricing sweep
-    /// (`batched_kernels: true`, the default), the per-probe warm path
-    /// (the runtime escape hatch), and the cold engine prove
-    /// bit-identical optimal errors across thread counts {1, 2, 4}. The
-    /// compile-time escape hatch is the third leg: CI re-runs this very
-    /// test under `--features scalar-kernels`, so scalar and chunked
-    /// kernels are pinned against the same family of instances.
-    #[test]
-    fn batched_and_per_probe_warm_prove_identical_optima(inst in small_instance()) {
-        let Some(problem) = build(&inst) else {
-            return Err(TestCaseError::reject("invalid ranking"));
-        };
-        let cold = solve_b(&problem, false, false, false, 1);
-        prop_assert!(cold.optimal, "cold search must close the tree");
-        for threads in [1usize, 2, 4] {
-            let batched = solve_b(&problem, true, true, true, threads);
-            let per_probe = solve_b(&problem, true, true, false, threads);
-            prop_assert!(batched.optimal && per_probe.optimal);
-            prop_assert_eq!(
-                batched.error, cold.error,
-                "batched ({} threads) disagrees with cold optimum", threads
-            );
-            prop_assert_eq!(
-                per_probe.error, cold.error,
-                "per-probe ({} threads) disagrees with cold optimum", threads
-            );
-            prop_assert_eq!(problem.evaluate(&batched.weights), batched.error);
-            prop_assert_eq!(problem.evaluate(&per_probe.weights), per_probe.error);
-            // The sweep really runs when enabled (a warm-loaded node's
-            // tightening sweeps unless every probe was skipped — the
-            // root's never are) and never when off. A search settled by
-            // a root heuristic expands no node and thus sweeps nothing.
-            prop_assert!(
-                batched.stats.nodes == 0 || batched.stats.batched_sweeps > 0,
-                "batched mode expanded {} nodes but never swept ({} threads)",
-                batched.stats.nodes, threads
-            );
-            prop_assert_eq!(
-                per_probe.stats.batched_sweeps, 0,
-                "escape hatch must not sweep"
-            );
-            prop_assert_eq!(per_probe.stats.probe_objectives_batched, 0);
-        }
-    }
-
     /// Warm-starting performs at most as many simplex pivots as cold on
     /// the same instance at one thread (usually far fewer — the strict
     /// assertion lives in the deterministic test below, this one guards
@@ -198,14 +142,14 @@ proptest! {
     }
 }
 
-/// The acceptance-criteria pin, on fixed instances (deterministic in
-/// release *and* debug): warm probes/children perform strictly fewer
-/// simplex pivots than cold for the same proved optimum, and snapshots
-/// actually install (`lp_warm_starts > 0`).
-#[test]
-fn warm_start_strictly_reduces_pivots_on_fixed_instances() {
-    let fixtures: [(&[&[f64]], usize, u64); 2] = [
-        (
+/// Two small fixed instances (m = 3 and m = 2) that branch a little.
+fn pivot_fixtures() -> [(SmallInstance, u64); 2] {
+    let fixture = |rows: &[&[f64]], k: usize, perm_seed: u64| {
+        let rows = rows.iter().map(|r| r.to_vec()).collect();
+        (SmallInstance { rows, k, perm_seed }, perm_seed)
+    };
+    [
+        fixture(
             &[
                 &[1.0, 5.0, 2.0],
                 &[8.0, 6.0, 1.0],
@@ -217,7 +161,7 @@ fn warm_start_strictly_reduces_pivots_on_fixed_instances() {
             3,
             0x5eed,
         ),
-        (
+        fixture(
             &[
                 &[9.0, 5.0],
                 &[7.0, 7.0],
@@ -230,13 +174,38 @@ fn warm_start_strictly_reduces_pivots_on_fixed_instances() {
             3,
             42,
         ),
-    ];
-    for (rows, k, seed) in fixtures {
-        let inst = SmallInstance {
-            rows: rows.iter().map(|r| r.to_vec()).collect(),
-            k,
-            perm_seed: seed,
-        };
+    ]
+}
+
+/// An instance with the given rows and top positions, at the default
+/// tolerances.
+fn positioned(rows: Vec<Vec<f64>>, positions: Vec<Option<u32>>) -> OptProblem {
+    let names = (0..rows[0].len()).map(|j| format!("A{j}")).collect();
+    let data = Dataset::from_rows(names, rows).expect("fixture rows");
+    let given = GivenRanking::from_positions(positions).expect("fixture ranking");
+    OptProblem::new(data, given).expect("fixture builds")
+}
+
+/// Anti-correlated attributes force the search to branch deep enough
+/// that parents hand real bound facts to their children (a couple of
+/// hundred nodes), while staying fast in debug builds.
+fn anticorrelated_problem() -> OptProblem {
+    let rows = (0..9)
+        .map(|i| vec![f64::from(i), f64::from(8 - i), f64::from((i * 5) % 7)])
+        .collect();
+    let mut positions = vec![None; 9];
+    positions[3] = Some(1);
+    positions[7] = Some(2);
+    positioned(rows, positions)
+}
+
+/// The acceptance-criteria pin, on fixed instances (deterministic in
+/// release *and* debug): warm probes/children perform strictly fewer
+/// simplex pivots than cold for the same proved optimum, and snapshots
+/// actually install (`lp_warm_starts > 0`).
+#[test]
+fn warm_start_strictly_reduces_pivots_on_fixed_instances() {
+    for (inst, seed) in pivot_fixtures() {
         let problem = build(&inst).expect("fixture builds");
         let cold = solve(&problem, false, false, 1);
         let warm = solve(&problem, true, false, 1);
@@ -262,19 +231,7 @@ fn warm_start_strictly_reduces_pivots_on_fixed_instances() {
 /// to stay in integers), with the skip counters populated.
 #[test]
 fn propagation_strictly_reduces_probe_lps_on_fixed_instance() {
-    // Anti-correlated attributes force the search to branch deep enough
-    // that parents hand real bound facts to their children (a couple of
-    // hundred nodes), while staying fast in debug builds.
-    let rows: Vec<Vec<f64>> = (0..9)
-        .map(|i| vec![f64::from(i), f64::from(8 - i), f64::from((i * 5) % 7)])
-        .collect();
-    let mut positions: Vec<Option<u32>> = vec![None; 9];
-    positions[3] = Some(1);
-    positions[7] = Some(2);
-    let names = (0..3).map(|j| format!("A{j}")).collect();
-    let data = Dataset::from_rows(names, rows).expect("fixture rows");
-    let given = GivenRanking::from_positions(positions).expect("fixture ranking");
-    let problem = OptProblem::new(data, given).expect("fixture builds");
+    let problem = anticorrelated_problem();
     let warm = solve(&problem, true, false, 1);
     let prop = solve(&problem, true, true, 1);
     assert!(warm.optimal && prop.optimal);
@@ -292,4 +249,60 @@ fn propagation_strictly_reduces_probe_lps_on_fixed_instance() {
         warm.stats.lp_solves,
         warm.stats.nodes
     );
+}
+
+/// Golden search counters at one thread on fixed instances: the default
+/// engine (warm LPs, bound propagation) must reproduce the exact
+/// `(nodes, lp_solves, lp_pivots, probes_skipped, coords_skipped,
+/// incumbents, error)` these instances have always shown. Any change to
+/// pivot selection — a rewritten ratio test, a different tie-break, a
+/// reordered fold — moves at least one of these numbers, even where the
+/// proved optimum does not move.
+#[test]
+fn search_counters_match_the_golden_values() {
+    let [(m3, _), (m2, _)] = pivot_fixtures();
+    let m5 = positioned(
+        (0..7u32)
+            .map(|i| {
+                (0..5u32)
+                    .map(|j| f64::from((i * (2 * j + 3) + j * j) % 11))
+                    .collect()
+            })
+            .collect(),
+        vec![Some(3), Some(1), None, None, Some(2), None, None],
+    );
+    let cases = [
+        ("m3_seed5eed", build(&m3).expect("fixture builds")),
+        ("m2_seed42", build(&m2).expect("fixture builds")),
+        ("m3_anticorrelated", anticorrelated_problem()),
+        ("m5_grid", m5),
+    ];
+    // (name, nodes, lp_solves, lp_pivots, probes_skipped,
+    //  coords_skipped, incumbents, error)
+    let golden: [(&str, usize, usize, u64, usize, usize, usize, u64); 4] = [
+        ("m3_seed5eed", 22, 120, 272, 93, 9, 4, 2),
+        ("m2_seed42", 7, 27, 43, 18, 0, 3, 8),
+        ("m3_anticorrelated", 181, 1485, 2580, 110, 4, 4, 1),
+        ("m5_grid", 1179, 12584, 41897, 2680, 1229, 7, 1),
+    ];
+    let mut mismatches = Vec::new();
+    for ((name, problem), want) in cases.iter().zip(golden) {
+        let sol = solve(problem, true, true, 1);
+        assert!(sol.optimal, "{name}: search must close the tree");
+        let s = &sol.stats;
+        let got = (
+            *name,
+            s.nodes,
+            s.lp_solves,
+            s.lp_pivots,
+            s.probes_skipped,
+            s.coords_skipped,
+            s.incumbents,
+            sol.error,
+        );
+        if got != want {
+            mismatches.push(format!("got {got:?}, want {want:?}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -131,10 +131,8 @@ impl FeatureMatrix {
     }
 
     /// Batched score kernel: `out[i] = Σ_j weights[j] · A_j[i]` for every
-    /// tuple, as `m` contiguous chunked [`kernels::axpy`] passes. Zero
-    /// weights are skipped, so sparse weight vectors cost only their
-    /// support. Bit-identical to the scalar accumulation (axpy is an
-    /// elementwise kernel — see the `kernels` exactness contract).
+    /// tuple, as `m` contiguous [`kernels::axpy`] passes. Zero weights
+    /// are skipped, so sparse weight vectors cost only their support.
     pub fn scores_into(&self, weights: &[f64], out: &mut [f64]) {
         assert_eq!(weights.len(), self.m, "weight arity");
         assert_eq!(out.len(), self.n, "score buffer length");
@@ -174,28 +172,8 @@ impl FeatureMatrix {
         for j in 0..m {
             let col = self.col(j);
             let base = col[r];
-            // 4-lane chunked gather/subtract/scatter with a scalar tail
-            // (elementwise — bit-identical to the scalar loop). The
-            // gather indices come from `block`; the subtraction is the
-            // lane-parallel part.
-            let mut bc = block.chunks_exact(kernels::LANES);
-            let mut b = 0usize;
-            for ss in &mut bc {
-                let d = [
-                    col[ss[0]] - base,
-                    col[ss[1]] - base,
-                    col[ss[2]] - base,
-                    col[ss[3]] - base,
-                ];
-                out[b * m + j] = d[0];
-                out[(b + 1) * m + j] = d[1];
-                out[(b + 2) * m + j] = d[2];
-                out[(b + 3) * m + j] = d[3];
-                b += kernels::LANES;
-            }
-            for &s in bc.remainder() {
+            for (b, &s) in block.iter().enumerate() {
                 out[b * m + j] = col[s] - base;
-                b += 1;
             }
         }
     }
@@ -254,8 +232,8 @@ impl FeatureMatrix {
     /// Per-column `(min, max)` spans written into `out` (cleared and
     /// refilled; the buffer's capacity is reused across calls, so a
     /// caller that sweeps ranges repeatedly pays no per-call
-    /// allocation). One contiguous chunked [`kernels::min_max`] pass
-    /// per column.
+    /// allocation). One contiguous [`kernels::min_max`] pass per
+    /// column.
     pub fn column_ranges_into(&self, out: &mut Vec<(f64, f64)>) {
         out.clear();
         out.reserve(self.m);

@@ -1,84 +1,38 @@
-//! Batched arithmetic kernels: the f64 inner loops every layer above
-//! shares (feature scoring, simplex pivoting, probe re-pricing).
+//! Arithmetic kernels: the f64 inner loops every layer above shares
+//! (feature scoring, simplex pivoting, pivot selection).
 //!
-//! Each kernel is written as an explicitly unrolled 4-lane chunked loop
-//! with a scalar tail — stable Rust, no `std::simd`, no intrinsics — so
-//! the optimizer can keep the chunk body in vector registers while the
-//! semantics stay fully portable. The `scalar-kernels` cargo feature
-//! swaps every kernel for its one-element-at-a-time reference loop; the
-//! parity suite runs under both configurations.
+//! Every kernel has exactly one body.
 //!
-//! # Exactness contract
-//!
-//! Two classes of kernel, with different reproducibility guarantees:
-//!
-//! - **Elementwise kernels** ([`axpy`], [`scale`], [`min_max`],
-//!   [`first_below`], [`argmin_first`]) are *bit-identical* to their
-//!   scalar reference: every lane performs the same arithmetic on the
-//!   same element, no reduction is reassociated, and selection kernels
-//!   reduce their lanes with an explicit lowest-index tie-break so the
-//!   chunked scan picks exactly the element the sequential scan would.
-//!   The simplex hot loops use only this class — pivot selection (and
-//!   therefore node counts, proved errors, every solver answer) cannot
-//!   depend on whether the chunked or scalar build ran.
-//! - **Reduction kernels** ([`dot`]) fold into four independent
-//!   accumulators and combine them at the end, which reassociates the
-//!   sum: the result may differ from the sequential fold by a few ulps.
-//!   Callers use `dot` only behind explicit tolerance margins (e.g. the
-//!   engine's witness checks, with margins ≥ 1e-7).
-
-/// Lanes per chunk. Fixed at 4 (one AVX register of f64, two SSE2
-/// registers) — the layout constant the tests' ragged-length sweeps
-/// are written against.
-pub const LANES: usize = 4;
+//! - **Elementwise and selection kernels** ([`axpy`], [`scale`],
+//!   [`first_below`], [`argmin_first`]) are plain index-order loops. The
+//!   simplex pivot selection runs on them, so the entering column is
+//!   always the first index the sequential scan would pick, and node
+//!   counts and proved errors do not depend on how a loop is compiled.
+//! - **Reductions** ([`min_max`], [`dot`]) carry a value from one
+//!   element to the next. A single accumulator serializes the loop on
+//!   that dependency, so both fold into four independent accumulators
+//!   and combine them at the end. This pays on the SYM-GD workload,
+//!   where `min_max` spans every column of a 50k–100k-row relation: on
+//!   a 2-core x86-64 container, a one-accumulator build ran the
+//!   `symgd-large` benchmark slower in 6 of 8 paired runs (median p50
+//!   ≈ 145 → 155 ms).
+//!   `min_max` is value-identical to the sequential fold (min and max
+//!   are associative on NaN-free data). `dot` reassociates the sum and
+//!   may differ from the sequential fold by a few ulps, so callers use
+//!   it only behind tolerance margins (the engine's witness checks use
+//!   margins ≥ 1e-7).
 
 /// `y[i] += a * x[i]` over the common prefix of `y` and `x`.
 ///
-/// Bit-identical to the scalar loop (elementwise; no reassociation).
 /// `a = -f` reproduces `y[i] -= f * x[i]` exactly: IEEE 754 negation
 /// commutes with multiplication bitwise.
-#[cfg(not(feature = "scalar-kernels"))]
-pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-    let n = y.len().min(x.len());
-    let (y, x) = (&mut y[..n], &x[..n]);
-    let mut yc = y.chunks_exact_mut(LANES);
-    let mut xc = x.chunks_exact(LANES);
-    for (yy, xx) in (&mut yc).zip(&mut xc) {
-        yy[0] += a * xx[0];
-        yy[1] += a * xx[1];
-        yy[2] += a * xx[2];
-        yy[3] += a * xx[3];
-    }
-    for (yy, &xx) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yy += a * xx;
-    }
-}
-
-/// `y[i] += a * x[i]` — scalar reference build.
-#[cfg(feature = "scalar-kernels")]
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     for (yy, &xx) in y.iter_mut().zip(x) {
         *yy += a * xx;
     }
 }
 
-/// `y[i] *= a`. Bit-identical to the scalar loop.
-#[cfg(not(feature = "scalar-kernels"))]
-pub fn scale(y: &mut [f64], a: f64) {
-    let mut yc = y.chunks_exact_mut(LANES);
-    for yy in &mut yc {
-        yy[0] *= a;
-        yy[1] *= a;
-        yy[2] *= a;
-        yy[3] *= a;
-    }
-    for yy in yc.into_remainder() {
-        *yy *= a;
-    }
-}
-
-/// `y[i] *= a` — scalar reference build.
-#[cfg(feature = "scalar-kernels")]
+/// `y[i] *= a`.
 pub fn scale(y: &mut [f64], a: f64) {
     for yy in y.iter_mut() {
         *yy *= a;
@@ -86,15 +40,14 @@ pub fn scale(y: &mut [f64], a: f64) {
 }
 
 /// Dot product with four independent accumulators (reassociated — see
-/// the module-level exactness contract; use only behind tolerance
-/// margins). Sums over the common prefix of `a` and `b`.
-#[cfg(not(feature = "scalar-kernels"))]
+/// the module docs; use only behind tolerance margins). Sums over the
+/// common prefix of `a` and `b`.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut ac = a.chunks_exact(LANES);
-    let mut bc = b.chunks_exact(LANES);
+    let mut acc = [0.0f64; 4];
+    let mut ac = a.chunks_exact(4);
+    let mut bc = b.chunks_exact(4);
     for (aa, bb) in (&mut ac).zip(&mut bc) {
         acc[0] += aa[0] * bb[0];
         acc[1] += aa[1] * bb[1];
@@ -108,21 +61,14 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
 }
 
-/// Dot product — scalar (sequential-fold) reference build.
-#[cfg(feature = "scalar-kernels")]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Per-slice `(min, max)` in one pass. Empty input yields
-/// `(inf, −inf)`. Lane-reduced min/max is value-identical to the
-/// sequential fold (min/max are associative and commutative for the
-/// NaN-free data the solver stores; ±0.0 compare equal either way).
-#[cfg(not(feature = "scalar-kernels"))]
+/// Per-slice `(min, max)` in one pass with four accumulators per side
+/// (see the module docs). Empty input yields `(inf, −inf)`. The result
+/// is value-identical to the sequential fold for NaN-free data (±0.0
+/// compare equal either way).
 pub fn min_max(xs: &[f64]) -> (f64, f64) {
-    let mut lo = [f64::INFINITY; LANES];
-    let mut hi = [f64::NEG_INFINITY; LANES];
-    let mut xc = xs.chunks_exact(LANES);
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let mut xc = xs.chunks_exact(4);
     for xx in &mut xc {
         lo[0] = lo[0].min(xx[0]);
         lo[1] = lo[1].min(xx[1]);
@@ -144,128 +90,28 @@ pub fn min_max(xs: &[f64]) -> (f64, f64) {
     (l, h)
 }
 
-/// Per-slice `(min, max)` — scalar reference build.
-#[cfg(feature = "scalar-kernels")]
-pub fn min_max(xs: &[f64]) -> (f64, f64) {
-    let mut l = f64::INFINITY;
-    let mut h = f64::NEG_INFINITY;
-    for &x in xs {
-        l = l.min(x);
-        h = h.max(x);
-    }
-    (l, h)
-}
-
 /// Index of the first element strictly below `threshold`, or `None`.
-/// Chunked scan with an in-order check per chunk, so the answer is
-/// bit-identical to the sequential scan (NaN entries never compare
-/// below and are skipped, as in the scalar loop).
-#[cfg(not(feature = "scalar-kernels"))]
-pub fn first_below(xs: &[f64], threshold: f64) -> Option<usize> {
-    let mut xc = xs.chunks_exact(LANES);
-    let mut base = 0usize;
-    for xx in &mut xc {
-        // One branch per chunk in the common (no-hit) case.
-        if xx[0] < threshold || xx[1] < threshold || xx[2] < threshold || xx[3] < threshold {
-            for (l, &x) in xx.iter().enumerate() {
-                if x < threshold {
-                    return Some(base + l);
-                }
-            }
-        }
-        base += LANES;
-    }
-    for (l, &x) in xc.remainder().iter().enumerate() {
-        if x < threshold {
-            return Some(base + l);
-        }
-    }
-    None
-}
-
-/// First index strictly below `threshold` — scalar reference build.
-#[cfg(feature = "scalar-kernels")]
+/// NaN entries never compare below and are skipped.
 pub fn first_below(xs: &[f64], threshold: f64) -> Option<usize> {
     xs.iter().position(|&x| x < threshold)
 }
 
 /// First index attaining the minimum value (and that value), or `None`
-/// on an empty slice. Each lane keeps the earliest strict minimum of
-/// its own subsequence; the lane reduction breaks value ties toward the
-/// *lower index*, so the chunked scan returns exactly the index the
-/// sequential `<`-scan would. NaN entries are skipped (they are never
-/// `<` nor `==` any running best); an all-NaN slice reports `+inf`,
-/// which every caller's threshold check rejects — the sequential scan
-/// selects nothing there either.
-#[cfg(not(feature = "scalar-kernels"))]
-pub fn argmin_first(xs: &[f64]) -> Option<(usize, f64)> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut best = [f64::INFINITY; LANES];
-    let mut bidx = [usize::MAX; LANES];
-    let mut xc = xs.chunks_exact(LANES);
-    let mut base = 0usize;
-    for xx in &mut xc {
-        if xx[0] < best[0] {
-            best[0] = xx[0];
-            bidx[0] = base;
-        }
-        if xx[1] < best[1] {
-            best[1] = xx[1];
-            bidx[1] = base + 1;
-        }
-        if xx[2] < best[2] {
-            best[2] = xx[2];
-            bidx[2] = base + 2;
-        }
-        if xx[3] < best[3] {
-            best[3] = xx[3];
-            bidx[3] = base + 3;
-        }
-        base += LANES;
-    }
-    // Reduce the lanes with a lowest-index tie-break, then fold the
-    // tail (whose indices are all larger, so plain strict `<` keeps the
-    // sequential first-wins rule).
-    let mut v = f64::INFINITY;
-    let mut i = usize::MAX;
-    for l in 0..LANES {
-        if best[l] < v || (best[l] == v && bidx[l] < i) {
-            v = best[l];
-            i = bidx[l];
-        }
-    }
-    for (l, &x) in xc.remainder().iter().enumerate() {
-        if x < v {
-            v = x;
-            i = base + l;
-        }
-    }
-    if i == usize::MAX {
-        // All entries NaN: report the +inf sentinel at index 0, exactly
-        // like a slice of +inf values would.
-        return Some((0, f64::INFINITY));
-    }
-    Some((i, v))
-}
-
-/// First index attaining the minimum — scalar reference build.
-#[cfg(feature = "scalar-kernels")]
+/// on an empty slice. Ties keep the lowest index (strict `<` scan). NaN
+/// entries are skipped (they are never `<` any running best); an
+/// all-NaN slice reports `+inf` at index 0, which every caller's
+/// threshold check rejects.
 pub fn argmin_first(xs: &[f64]) -> Option<(usize, f64)> {
     if xs.is_empty() {
         return None;
     }
     let mut v = f64::INFINITY;
-    let mut i = usize::MAX;
+    let mut i = 0;
     for (j, &x) in xs.iter().enumerate() {
         if x < v {
             v = x;
             i = j;
         }
-    }
-    if i == usize::MAX {
-        return Some((0, f64::INFINITY));
     }
     Some((i, v))
 }
@@ -275,40 +121,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    // Scalar reference implementations, independent of the feature
-    // flag, so the default (chunked) build is checked against the exact
-    // sequential semantics and the `scalar-kernels` build degenerates
-    // to a self-check.
-    fn ref_axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        for (yy, &xx) in y.iter_mut().zip(x) {
-            *yy += a * xx;
-        }
-    }
-
     fn ref_min_max(xs: &[f64]) -> (f64, f64) {
         xs.iter()
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &x| {
                 (l.min(x), h.max(x))
             })
-    }
-
-    fn ref_argmin_first(xs: &[f64]) -> Option<(usize, f64)> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut v = f64::INFINITY;
-        let mut i = usize::MAX;
-        for (j, &x) in xs.iter().enumerate() {
-            if x < v {
-                v = x;
-                i = j;
-            }
-        }
-        Some(if i == usize::MAX {
-            (0, f64::INFINITY)
-        } else {
-            (i, v)
-        })
     }
 
     /// Values that force ties and sign edge cases alongside ordinary
@@ -324,30 +141,42 @@ mod tests {
         ]
     }
 
-    /// Ragged lengths 0..17 exercise every tail size around the 4-lane
-    /// chunk boundary (0–3 tails at 1, 2, 3, and 4 chunks).
+    /// Ragged lengths 0..17 exercise every tail size around the
+    /// four-accumulator chunk (0–3 tails at 1, 2, 3, and 4 chunks).
     fn ragged(max: usize) -> impl Strategy<Value = Vec<f64>> {
         prop::collection::vec(value(), 0..max)
     }
 
     proptest! {
+        /// The identity `Tableau::pivot` relies on: `axpy` with `a = −f`
+        /// is bit-identical to the scalar elimination `y −= f·x`.
         #[test]
-        fn axpy_is_bit_identical_to_scalar(mut y in ragged(17), a in value()) {
+        fn axpy_is_bit_identical_to_scalar(mut y in ragged(17), f in value()) {
             let x: Vec<f64> = y.iter().map(|v| v * 0.37 - 1.0).collect();
-            let mut expect = y.clone();
-            ref_axpy(&mut expect, a, &x);
-            axpy(&mut y, a, &x);
+            let expect: Vec<f64> = y.iter().zip(&x).map(|(&yy, &xx)| yy - f * xx).collect();
+            axpy(&mut y, -f, &x);
             for (got, want) in y.iter().zip(&expect) {
                 prop_assert_eq!(got.to_bits(), want.to_bits());
             }
         }
 
+        /// Against an oracle built differently: the minimum over the
+        /// non-NaN entries first, then the first index holding it.
         #[test]
-        fn scale_is_bit_identical_to_scalar(mut y in ragged(17), a in value()) {
-            let expect: Vec<f64> = y.iter().map(|v| v * a).collect();
-            scale(&mut y, a);
-            for (got, want) in y.iter().zip(&expect) {
-                prop_assert_eq!(got.to_bits(), want.to_bits());
+        fn argmin_first_matches_sequential_scan(xs in ragged(17)) {
+            let want = if xs.is_empty() {
+                None
+            } else {
+                let v = xs.iter().copied().filter(|x| !x.is_nan()).fold(f64::INFINITY, f64::min);
+                Some((xs.iter().position(|&x| x == v).unwrap_or(0), v))
+            };
+            match (argmin_first(&xs), want) {
+                (None, None) => {}
+                (Some((gi, gv)), Some((wi, wv))) => {
+                    prop_assert_eq!(gi, wi, "index diverged on {:?}", xs);
+                    prop_assert_eq!(gv, wv);
+                }
+                other => prop_assert!(false, "mismatch {:?}", other),
             }
         }
 
@@ -358,25 +187,6 @@ mod tests {
             // Value equality (±0.0 may differ in sign between folds).
             prop_assert_eq!(l, rl);
             prop_assert_eq!(h, rh);
-        }
-
-        #[test]
-        fn first_below_matches_sequential_scan(xs in ragged(17), t in value()) {
-            prop_assert_eq!(first_below(&xs, t), xs.iter().position(|&x| x < t));
-        }
-
-        #[test]
-        fn argmin_first_matches_sequential_scan(xs in ragged(17)) {
-            let got = argmin_first(&xs);
-            let want = ref_argmin_first(&xs);
-            match (got, want) {
-                (None, None) => {}
-                (Some((gi, gv)), Some((wi, wv))) => {
-                    prop_assert_eq!(gi, wi, "index diverged on {:?}", xs);
-                    prop_assert_eq!(gv.to_bits(), wv.to_bits());
-                }
-                other => prop_assert!(false, "mismatch {:?}", other),
-            }
         }
 
         #[test]
@@ -393,11 +203,9 @@ mod tests {
 
     #[test]
     fn ties_resolve_to_the_first_index() {
-        // Equal minima in different lanes and different chunks: index 3
-        // (lane 3) must beat index 4 (lane 0 of chunk 1).
+        // Equal minima: the earliest index wins, wherever the tie sits.
         let xs = [5.0, 4.0, 3.0, 1.0, 1.0, 2.0];
         assert_eq!(argmin_first(&xs), Some((3, 1.0)));
-        // And within one chunk, the earliest lane wins.
         let xs = [2.0, 1.0, 1.0, 1.0];
         assert_eq!(argmin_first(&xs), Some((1, 1.0)));
     }

@@ -53,25 +53,15 @@ pub(crate) fn dual_restore(t: &mut Tableau<'_>, cost: &mut [f64]) -> DualOutcome
     let mut last_worst = f64::NEG_INFINITY;
     let w = t.ncols + 1;
     for _ in 0..max_iter {
-        // Leaving row: most negative RHS. The RHS column is strided, so
-        // the chunked scan gathers 4 entries at a time and folds them in
-        // row order — first-wins on exact ties, like the scalar sweep.
+        // Leaving row: most negative RHS, first row wins on exact ties.
         let mut leave: Option<usize> = None;
         let mut worst = -TOL;
-        let mut r = 0usize;
-        while r < t.rows {
-            let lanes = (t.rows - r).min(kernels::LANES);
-            let mut rhs = [0.0f64; kernels::LANES];
-            for l in 0..lanes {
-                rhs[l] = t.a[(r + l) * w + t.ncols];
+        for r in 0..t.rows {
+            let v = t.a[r * w + t.ncols];
+            if v < worst {
+                worst = v;
+                leave = Some(r);
             }
-            for (l, &v) in rhs.iter().enumerate().take(lanes) {
-                if v < worst {
-                    worst = v;
-                    leave = Some(r + l);
-                }
-            }
-            r += lanes;
         }
         let Some(row) = leave else {
             return finish_feasible(t, cost);
@@ -81,47 +71,35 @@ pub(crate) fn dual_restore(t: &mut Tableau<'_>, cost: &mut [f64]) -> DualOutcome
         // entry in the leaving row, minimize the dual ratio
         // `cost[j] / −a_rj` (keeps the cost row dual feasible); ties
         // break to the largest |a_rj| for stability. In Bland mode take
-        // the smallest eligible index (anti-cycling). The leaving row is
-        // contiguous: Bland reduces to [`kernels::first_below`], and the
-        // Dantzig scan batches the speculative ratio divides 4 lanes at
-        // a time (ineligible lanes discarded) before folding candidates
-        // in column order under the exact scalar tie-break rules — the
-        // leader's `|a|` rides along so ties never re-read the tableau.
+        // the smallest eligible index (anti-cycling), which on the
+        // contiguous leaving row is [`kernels::first_below`]. The Dantzig
+        // scan folds candidates in column order; the leader's `|a|`
+        // rides along so ties never re-read the tableau.
         let lrow = &t.a[row * w..row * w + t.first_artificial];
         let mut enter: Option<(usize, f64)> = None;
         if bland {
             enter = kernels::first_below(lrow, -TOL).map(|j| (j, lrow[j].abs()));
         } else {
             let mut best_ratio = f64::INFINITY;
-            let mut j = 0usize;
-            while j < lrow.len() {
-                let lanes = (lrow.len() - j).min(kernels::LANES);
-                let mut ratios = [0.0f64; kernels::LANES];
-                for l in 0..lanes {
-                    ratios[l] = cost[j + l].max(0.0) / -lrow[j + l];
+            for (j, &a) in lrow.iter().enumerate() {
+                if a >= -TOL {
+                    continue;
                 }
-                for l in 0..lanes {
-                    let a = lrow[j + l];
-                    if a >= -TOL {
-                        continue;
+                let ratio = cost[j].max(0.0) / -a;
+                let better = if ratio < best_ratio - TOL {
+                    true
+                } else if ratio < best_ratio + TOL {
+                    match enter {
+                        None => true,
+                        Some((_, eabs)) => a.abs() > eabs,
                     }
-                    let ratio = ratios[l];
-                    let better = if ratio < best_ratio - TOL {
-                        true
-                    } else if ratio < best_ratio + TOL {
-                        match enter {
-                            None => true,
-                            Some((_, eabs)) => a.abs() > eabs,
-                        }
-                    } else {
-                        false
-                    };
-                    if better {
-                        best_ratio = ratio.min(best_ratio);
-                        enter = Some((j + l, a.abs()));
-                    }
+                } else {
+                    false
+                };
+                if better {
+                    best_ratio = ratio.min(best_ratio);
+                    enter = Some((j, a.abs()));
                 }
-                j += lanes;
             }
         }
         let enter = enter.map(|(j, _)| j);

@@ -33,7 +33,6 @@ use crate::model::{Op, Problem, Sense, Solution, Status};
 use crate::simplex::{
     self, SimplexWorkspace, SolveError, StdForm, Tableau, VarMap, FEAS_TOL, NO_COL,
 };
-use rankhow_linalg::kernels;
 
 /// Pivots smaller than this are rejected when installing a snapshot
 /// basis (matches the phase-1 artificial drive-out threshold).
@@ -140,28 +139,6 @@ pub struct IncrementalLp {
     widen: Vec<f64>,
     /// Scratch for building the appended row over standard columns.
     new_row: Vec<f64>,
-    /// Batch-sweep scratch: one reduced-cost row, priced per probe and
-    /// handed to phase 2 (see [`IncrementalLp::solve_objectives`]).
-    bat: Vec<f64>,
-}
-
-/// Outcome of one objective in an [`IncrementalLp::solve_objectives`]
-/// sweep.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum ProbeOutcome {
-    /// Solved to optimality: the objective value, plus the index of this
-    /// probe's optimizer in the sweep's witness list (consecutive probes
-    /// optimized by the same basis share one entry).
-    Solved {
-        /// The optimal objective value, in model terms.
-        value: f64,
-        /// Index into the `witnesses` vector passed to the sweep.
-        witness: usize,
-    },
-    /// Phase 2 did not converge for this objective (unbounded, or the
-    /// pivot iteration limit) — the same conditions under which
-    /// [`IncrementalLp::solve_objective`] reports a non-optimal status.
-    Failed,
 }
 
 impl IncrementalLp {
@@ -492,147 +469,6 @@ impl IncrementalLp {
         })
     }
 
-    /// Solve a whole batch of single-variable probe objectives in one
-    /// sweep over the current basis.
-    ///
-    /// Each probe is `(var, sense)` for the objective `min/max x[var]` —
-    /// exactly the box-tightening probes the branch-and-bound engine
-    /// issues `2m` of per node. Probes run in slot order against the
-    /// evolving basis, exactly like a sequence of
-    /// [`IncrementalLp::solve_objective`] calls, with the same pivots
-    /// and bitwise-identical answers — the sweep only strips the
-    /// per-call overhead:
-    ///
-    /// - **Support pricing.** A probe's scattered standard-form cost
-    ///   vector has at most two nonzero columns (the split halves of a
-    ///   free variable), so at most two basic rows contribute to its
-    ///   reduced-cost row. Instead of the buffer fills and full-row
-    ///   scan [`simplex::reduced_costs_into`] runs per objective swap,
-    ///   the sweep finds the support's basic rows with one pass over
-    ///   the basis and prices the probe with ≤ 2 chunked row-axpys —
-    ///   the same rows, in the same ascending order, with
-    ///   bitwise-identical arithmetic.
-    /// - **In-place phase 2.** The priced row goes straight into
-    ///   [`simplex::run_phase`] as the phase-2 cost row; a probe the
-    ///   basis already optimizes *settles* there (one entering scan,
-    ///   zero pivots).
-    /// - **Shared extraction.** Consecutive probes optimized by the
-    ///   same basis (a settled run) share one optimizer extraction;
-    ///   `witnesses` receives one point per basis actually extracted
-    ///   and each [`ProbeOutcome::Solved`] carries its index.
-    ///
-    /// A probe whose phase 2 fails (unbounded, iteration limit) comes
-    /// back [`ProbeOutcome::Failed`] — the same conditions under which
-    /// `solve_objective` would have reported a non-optimal status from
-    /// the identical tableau state. A sweep whose probes all settle
-    /// performs no pivots, so a saved `pop_row` state stays valid.
-    pub fn solve_objectives(
-        &mut self,
-        probes: &[(usize, Sense)],
-        out: &mut Vec<ProbeOutcome>,
-        witnesses: &mut Vec<Vec<f64>>,
-    ) {
-        assert!(!self.pushed, "solve_objectives with a pushed row");
-        let form = self.form.expect("solve_objectives before load");
-        out.clear();
-        witnesses.clear();
-        if probes.is_empty() {
-            return;
-        }
-        let w = form.ncols + 1;
-        // Extraction of the current basis, shared across a settled run
-        // of probes and invalidated when a probe pivots.
-        let mut wit_idx: Option<usize> = None;
-        for &(var, sense) in probes {
-            let sign = match sense {
-                Sense::Minimize => 1.0,
-                Sense::Maximize => -1.0,
-            };
-            // Scatter the one-variable objective (≤ 2 std columns) —
-            // the same mapping arithmetic `solve_objective` feeds
-            // through `scatter_terms`.
-            let support: [(usize, f64); 2] = match self.ws.maps[var] {
-                VarMap::Shifted { idx, .. } => [(idx, sign), (NO_COL, 0.0)],
-                VarMap::Mirrored { idx, .. } => [(idx, -sign), (NO_COL, 0.0)],
-                VarMap::Split { pos, neg } => [(pos, sign), (neg, -sign)],
-            };
-            self.bat.clear();
-            self.bat.resize(w, 0.0);
-            for &(c, v) in &support {
-                if c != NO_COL {
-                    self.bat[c] = v;
-                }
-            }
-            // The rows `reduced_costs_into`'s full scan would touch are
-            // exactly those whose basic column lies in the support: one
-            // pass over the basis finds them in ascending row order.
-            // Gather their (row, cost) pairs *before* any axpy mutates
-            // the cost entries, then cancel them in that order —
-            // bitwise the same arithmetic as the full scan.
-            let mut contrib: [(usize, f64); 2] = [(usize::MAX, 0.0); 2];
-            let mut nc = 0usize;
-            for r in 0..form.rows {
-                let b = self.ws.basis[r];
-                for &(c, v) in &support {
-                    if c != NO_COL && b == c && v != 0.0 {
-                        contrib[nc] = (r, v);
-                        nc += 1;
-                    }
-                }
-            }
-            for &(r, cb) in &contrib[..nc] {
-                kernels::axpy(&mut self.bat, -cb, &self.ws.tableau[r * w..(r + 1) * w]);
-            }
-            // The priced row is the phase-2 cost row: hand it straight
-            // to the same `run_phase` call `solve_objective` makes. A
-            // probe the basis already optimizes settles in one entering
-            // scan with zero pivots.
-            let pivots_before = self.ws.pivots;
-            let ws = &mut self.ws;
-            let mut t = Tableau {
-                a: &mut ws.tableau,
-                rows: form.rows,
-                ncols: form.ncols,
-                basis: &mut ws.basis,
-                first_artificial: form.first_artificial,
-                pivots: &mut ws.pivots,
-            };
-            let outcome = simplex::run_phase(&mut t, &mut self.bat, form.first_artificial);
-            if self.ws.pivots != pivots_before {
-                // The basis moved: the cached extraction and any saved
-                // pop_row state are stale.
-                wit_idx = None;
-                self.saved_clean = false;
-            }
-            if !matches!(outcome, simplex::PhaseOutcome::Done) {
-                out.push(ProbeOutcome::Failed);
-                continue;
-            }
-            let idx = match wit_idx {
-                Some(i) => i,
-                None => {
-                    let (var_lo, var_hi) = (&self.var_lo, &self.var_hi);
-                    let x = simplex::extract_x(
-                        &mut self.ws,
-                        form.rows,
-                        form.ncols,
-                        var_lo.len(),
-                        |v| (var_lo[v], var_hi[v]),
-                    );
-                    witnesses.push(x);
-                    wit_idx = Some(witnesses.len() - 1);
-                    witnesses.len() - 1
-                }
-            };
-            // `solve_objective` reports `Σ coef·x[var]`, which for the
-            // unit-coefficient probe objective is exactly `x[var]`.
-            out.push(ProbeOutcome::Solved {
-                value: witnesses[idx][var],
-                witness: idx,
-            });
-        }
-    }
-
     /// Append one constraint row and restore feasibility with dual
     /// simplex from the current basis. Returns [`Status::Optimal`] when
     /// the extended region is feasible, [`Status::Infeasible`] when the
@@ -833,70 +669,6 @@ mod tests {
                     warm.objective
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batched_sweep_matches_cold_probes_and_repeats_settle() {
-        let p = region(
-            4,
-            &[
-                (vec![1.0, -1.0, 0.5, 0.0], Op::Ge, 1e-4),
-                (vec![0.0, 1.0, -1.0, 0.2], Op::Le, 0.0),
-            ],
-        );
-        let mut inc = IncrementalLp::new();
-        inc.load(&p, None).unwrap();
-        let probes: Vec<(usize, Sense)> = (0..4)
-            .flat_map(|j| [(j, Sense::Minimize), (j, Sense::Maximize)])
-            .collect();
-        let mut out = Vec::new();
-        let mut wits = Vec::new();
-        inc.solve_objectives(&probes, &mut out, &mut wits);
-        assert_eq!(out.len(), probes.len());
-        // Every probe must come back solved, agree with a cold solve of
-        // that objective, and carry a witness that realizes its value.
-        for (k, &(j, sense)) in probes.iter().enumerate() {
-            let ProbeOutcome::Solved { value, witness } = out[k] else {
-                panic!("probe {k} failed in the sweep");
-            };
-            assert_eq!(wits[witness][j].to_bits(), value.to_bits());
-            let cold = cold_probe(&p, j, sense);
-            assert!(
-                (value - cold).abs() < 1e-7,
-                "var {j} {sense:?}: batched {value} cold {cold}"
-            );
-        }
-        // The sweep is a drop-in for sequential objective swaps: run the
-        // same probe list through `solve_objective` on a second warm
-        // workspace and the values must match bit for bit, pivot for
-        // pivot (same basis evolution, cheaper pricing).
-        let mut seq = IncrementalLp::new();
-        seq.load(&p, None).unwrap();
-        for (k, &(j, sense)) in probes.iter().enumerate() {
-            let s = seq.solve_objective(&[(j, 1.0)], sense).unwrap();
-            let ProbeOutcome::Solved { value, .. } = out[k] else {
-                unreachable!()
-            };
-            assert_eq!(
-                s.objective.to_bits(),
-                value.to_bits(),
-                "var {j} {sense:?}: sweep diverged from sequential swaps"
-            );
-        }
-        assert_eq!(inc.pivots(), seq.pivots(), "sweep pivots ≠ sequential");
-        // A probe whose optimum the basis already realizes settles with
-        // zero pivots and reproduces the phase-2 answer bit for bit.
-        let warm = inc.solve_objective(&[(2, 1.0)], Sense::Minimize).unwrap();
-        let before = inc.pivots();
-        let mut out2 = Vec::new();
-        inc.solve_objectives(&[(2, Sense::Minimize)], &mut out2, &mut wits);
-        assert_eq!(inc.pivots(), before, "a settled sweep never pivots");
-        match out2[0] {
-            ProbeOutcome::Solved { value, .. } => {
-                assert_eq!(value.to_bits(), warm.objective.to_bits());
-            }
-            ProbeOutcome::Failed => panic!("just-optimized objective must settle"),
         }
     }
 

@@ -43,6 +43,6 @@ mod model;
 mod simplex;
 
 pub use geometry::{box_range, chebyshev_center, chebyshev_center_with};
-pub use incremental::{BasisSnapshot, IncrementalLp, LoadStatus, ProbeOutcome};
+pub use incremental::{BasisSnapshot, IncrementalLp, LoadStatus};
 pub use model::{Constraint, Op, Problem, Sense, Solution, Status, VarId};
 pub use simplex::{SimplexWorkspace, SolveError};

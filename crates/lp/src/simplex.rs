@@ -183,11 +183,10 @@ impl Tableau<'_> {
 
     /// Gauss-Jordan pivot at (row, col), updating a cost row alongside.
     ///
-    /// The row sweeps run through the chunked [`kernels`]: `y −= f·p`
-    /// is computed as `y += (−f)·p`, which IEEE 754 guarantees bitwise
+    /// The row sweeps run through [`kernels::axpy`]: `y −= f·p` is
+    /// computed as `y += (−f)·p`, which IEEE 754 guarantees bitwise
     /// identical (subtraction is addition of the negation, and negating
-    /// a product only flips its sign bit), so the vectorized pivot
-    /// produces the exact tableau the scalar loop did.
+    /// a product only flips its sign bit).
     pub(crate) fn pivot(&mut self, row: usize, col: usize, cost: &mut [f64]) {
         *self.pivots += 1;
         let w = self.ncols + 1;
@@ -253,15 +252,12 @@ pub(crate) enum PhaseOutcome {
 /// Run simplex iterations until optimal for the given cost row. Columns
 /// `< limit` may enter (both callers' eligibility sets are prefixes:
 /// every column in phase 1, the non-artificial columns in phase 2), so
-/// the entering scans run as chunked kernels over `cost[..limit]`.
+/// the entering scans run over `cost[..limit]`.
 ///
-/// Pivot selection is bit-for-bit the historical scalar scan:
-/// [`kernels::argmin_first`] keeps the lowest-index minimum exactly like
-/// the strict `rc < best` sweep did, [`kernels::first_below`] is Bland's
-/// rule verbatim, and the ratio test batches only the *arithmetic*
-/// (4 strided column entries and their speculative divides per chunk,
-/// ineligible lanes discarded) while folding candidates in row order
-/// under the original tolerance-band tie-breaks.
+/// Pivot selection folds in index order: [`kernels::argmin_first`]
+/// keeps the lowest-index minimum (Dantzig), [`kernels::first_below`]
+/// is Bland's rule, and the ratio test visits rows in order under the
+/// tolerance-band tie-breaks below.
 pub(crate) fn run_phase(t: &mut Tableau<'_>, cost: &mut [f64], limit: usize) -> PhaseOutcome {
     let max_iter = 500 + 200 * (t.rows + t.ncols);
     let mut stall = 0usize;
@@ -288,44 +284,32 @@ pub(crate) fn run_phase(t: &mut Tableau<'_>, cost: &mut [f64], limit: usize) -> 
         // comparison never re-reads the tableau.
         let mut leave: Option<(usize, f64)> = None;
         let mut best_ratio = f64::INFINITY;
-        let mut r = 0usize;
-        while r < t.rows {
-            let lanes = (t.rows - r).min(kernels::LANES);
-            let mut arcs = [0.0f64; kernels::LANES];
-            let mut ratios = [0.0f64; kernels::LANES];
-            for l in 0..lanes {
-                let arc = t.a[(r + l) * w + col];
-                arcs[l] = arc;
-                ratios[l] = t.a[(r + l) * w + t.ncols] / arc;
+        for r in 0..t.rows {
+            let arc = t.a[r * w + col];
+            if arc <= TOL {
+                continue;
             }
-            for l in 0..lanes {
-                let arc = arcs[l];
-                if arc <= TOL {
-                    continue;
-                }
-                let ratio = ratios[l];
-                let better = if ratio < best_ratio - TOL {
-                    true
-                } else if ratio < best_ratio + TOL {
-                    match leave {
-                        None => true,
-                        Some((lr, larc)) => {
-                            if bland {
-                                t.basis[r + l] < t.basis[lr]
-                            } else {
-                                arc > larc
-                            }
+            let ratio = t.a[r * w + t.ncols] / arc;
+            let better = if ratio < best_ratio - TOL {
+                true
+            } else if ratio < best_ratio + TOL {
+                match leave {
+                    None => true,
+                    Some((lr, larc)) => {
+                        if bland {
+                            t.basis[r] < t.basis[lr]
+                        } else {
+                            arc > larc
                         }
                     }
-                } else {
-                    false
-                };
-                if better {
-                    best_ratio = ratio.min(best_ratio);
-                    leave = Some((r + l, arc));
                 }
+            } else {
+                false
+            };
+            if better {
+                best_ratio = ratio.min(best_ratio);
+                leave = Some((r, arc));
             }
-            r += lanes;
         }
         let Some((row, _)) = leave else {
             return PhaseOutcome::Unbounded;

@@ -57,9 +57,6 @@ impl Histogram {
 
     #[inline]
     pub fn record_nanos(&self, nanos: u64) {
-        if !crate::ENABLED {
-            return;
-        }
         self.buckets[Self::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(nanos, Ordering::Relaxed);

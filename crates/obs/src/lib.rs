@@ -1,6 +1,6 @@
 //! Solve-path observability for the rankhow serving stack.
 //!
-//! Three layers, all optional at two levels:
+//! Three layers, all optional:
 //!
 //! * [`Histogram`] / [`MetricsRegistry`] — lock-free log-bucketed
 //!   latency histograms and per-pool depth gauges, merge-able and
@@ -14,12 +14,10 @@
 //!   for tests) shared by `--metrics-out`, `--trace-out`, and
 //!   `--stats-json`.
 //!
-//! Runtime gating: a query records only when its `SolverConfig`
-//! carries an `Arc<SolveTelemetry>`; the router layer additionally
-//! honours `RouterConfig::telemetry`. Compile-time gating: the
-//! `obs-off` cargo feature turns [`ENABLED`] const-false and every
-//! recording entry point into an inlined no-op, so guarded call sites
-//! fold to nothing.
+//! Gating is at run time only: a query records only when its
+//! `SolverConfig` carries an `Arc<SolveTelemetry>`; the router layer
+//! additionally honours `RouterConfig::telemetry`. With telemetry off,
+//! the hot paths pay one `Option` check per record site.
 
 pub mod hist;
 pub mod json;
@@ -29,8 +27,3 @@ pub mod registry;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use recorder::{Event, FlightRecorder, SolveTrace, TimedEvent};
 pub use registry::{MetricsRegistry, PoolDepth, SolveTelemetry};
-
-/// Const-false under the `obs-off` cargo feature. Hot paths guard
-/// telemetry lookups with `if rankhow_obs::ENABLED { .. }` so the
-/// disabled build folds the whole branch away.
-pub const ENABLED: bool = cfg!(not(feature = "obs-off"));

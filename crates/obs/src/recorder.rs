@@ -31,9 +31,6 @@ pub enum Event {
     Incumbent {
         error: f64,
     },
-    ProbeSweep {
-        probes: u64,
-    },
     PushRow,
     SnapshotRestore,
     CacheExactHit,
@@ -67,7 +64,6 @@ impl Event {
             Event::SliceStart { .. } => "slice_start",
             Event::SliceEnd { .. } => "slice_end",
             Event::Incumbent { .. } => "incumbent",
-            Event::ProbeSweep { .. } => "probe_sweep",
             Event::PushRow => "push_row",
             Event::SnapshotRestore => "snapshot_restore",
             Event::CacheExactHit => "cache_exact_hit",
@@ -109,9 +105,6 @@ impl TimedEvent {
             }
             Event::Incumbent { error } => {
                 obj.field_f64("error", error);
-            }
-            Event::ProbeSweep { probes } => {
-                obj.field_u64("probes", probes);
             }
             Event::Retried { attempt } => {
                 obj.field_u64("attempt", attempt as u64);
@@ -167,9 +160,6 @@ impl FlightRecorder {
 
     #[inline]
     pub fn record(&self, event: Event) {
-        if !crate::ENABLED {
-            return;
-        }
         let at_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let mut ring = rankhow_sync::lock(&self.ring);
         let seq = ring.next_seq;

@@ -31,9 +31,10 @@ pub struct PoolDepth {
 ///   `SolverStats::lp_solves`
 /// * `lp_load` — warm-start install / snapshot restore inside
 ///   `expand` (sampled)
-/// * `probe_sweep` — one batched Phase B objective sweep
-/// * `tighten_a` / `tighten_c` — batched tighten phases A and C
-///   (sampled)
+/// * `tighten_a` / `tighten_c` — box tightening outside its probe
+///   LPs, one entry each per tightening (sampled): phase A is the
+///   skip-rule and witness checks, phase C the bound resolution,
+///   witness copies and numerical guard
 /// * `child_feas` — child feasibility checks in `expand` (sampled)
 /// * `cache_lookup` — router solution-cache lookups
 #[derive(Debug, Default)]
@@ -43,7 +44,6 @@ pub struct MetricsRegistry {
     pub slice: Histogram,
     pub lp_solve: Histogram,
     pub lp_load: Histogram,
-    pub probe_sweep: Histogram,
     pub tighten_a: Histogram,
     pub tighten_c: Histogram,
     pub child_feas: Histogram,
@@ -59,9 +59,6 @@ impl MetricsRegistry {
     /// Record the instantaneous queue depth of pool `pool` (grows the
     /// gauge vector on first sight of a pool index).
     pub fn set_pool_depth(&self, pool: usize, depth: u64) {
-        if !crate::ENABLED {
-            return;
-        }
         let mut gauges = rankhow_sync::lock(&self.pool_depth);
         if gauges.len() <= pool {
             gauges.resize(pool + 1, PoolDepth::default());
@@ -74,14 +71,13 @@ impl MetricsRegistry {
         rankhow_sync::lock(&self.pool_depth).clone()
     }
 
-    fn histograms(&self) -> [(&'static str, &Histogram); 10] {
+    fn histograms(&self) -> [(&'static str, &Histogram); 9] {
         [
             ("latency", &self.latency),
             ("queue_wait", &self.queue_wait),
             ("slice", &self.slice),
             ("lp_solve", &self.lp_solve),
             ("lp_load", &self.lp_load),
-            ("probe_sweep", &self.probe_sweep),
             ("tighten_a", &self.tighten_a),
             ("tighten_c", &self.tighten_c),
             ("child_feas", &self.child_feas),
@@ -169,9 +165,6 @@ impl SolveTelemetry {
     /// Record an event on this query's flight recorder, if any.
     #[inline]
     pub fn event(&self, event: Event) {
-        if !crate::ENABLED {
-            return;
-        }
         if let Some(rec) = &self.recorder {
             rec.record(event);
         }
@@ -181,7 +174,7 @@ impl SolveTelemetry {
     /// Each call advances the sampling tick.
     #[inline]
     pub fn sample_phase(&self) -> bool {
-        if !crate::ENABLED || self.phase_sample == 0 {
+        if self.phase_sample == 0 {
             return false;
         }
         self.tick

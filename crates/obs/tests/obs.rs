@@ -36,27 +36,19 @@ fn record_updates_count_total_min_max() {
         h.record_nanos(ns);
     }
     let snap = h.snapshot();
-    if rankhow_obs::ENABLED {
-        assert_eq!(snap.count, 4);
-        assert_eq!(snap.total, 1080);
-        assert_eq!(snap.min(), 5);
-        assert_eq!(snap.max(), 1000);
-        assert!((snap.mean() - 270.0).abs() < 1e-9);
-        // Quantiles interpolate inside buckets but clamp to [min, max].
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            let v = snap.quantile(q);
-            assert!((5..=1000).contains(&v), "q{q} = {v} outside [min, max]");
-        }
-        assert_eq!(snap.quantile(1.0), 1000);
-    } else {
-        // obs-off: recording compiles to a no-op.
-        assert_eq!(snap.count, 0);
-        assert_eq!(snap.min(), 0);
-        assert_eq!(snap.max(), 0);
+    assert_eq!(snap.count, 4);
+    assert_eq!(snap.total, 1080);
+    assert_eq!(snap.min(), 5);
+    assert_eq!(snap.max(), 1000);
+    assert!((snap.mean() - 270.0).abs() < 1e-9);
+    // Quantiles interpolate inside buckets but clamp to [min, max].
+    for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+        let v = snap.quantile(q);
+        assert!((5..=1000).contains(&v), "q{q} = {v} outside [min, max]");
     }
+    assert_eq!(snap.quantile(1.0), 1000);
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn empty_histogram_snapshot_is_all_zero() {
     let snap = Histogram::new().snapshot();
@@ -72,7 +64,6 @@ fn empty_histogram_snapshot_is_all_zero() {
     assert_eq!(snap.quantile(1.0), 0);
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn merge_is_associative_and_commutative() {
     let fill = |values: &[u64]| {
@@ -115,7 +106,6 @@ fn merge_is_associative_and_commutative() {
     assert_eq!(l.max(), u64::MAX);
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn concurrent_recording_loses_nothing() {
     const THREADS: usize = 4;
@@ -143,7 +133,6 @@ fn concurrent_recording_loses_nothing() {
 
 // ------------------------------------------------------------ recorder
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn ring_keeps_the_newest_events_and_counts_drops() {
     let rec = FlightRecorder::new(4);
@@ -164,7 +153,6 @@ fn ring_keeps_the_newest_events_and_counts_drops() {
     assert!(trace.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn ring_below_capacity_preserves_order_and_drops_nothing() {
     let rec = FlightRecorder::new(64);
@@ -185,23 +173,8 @@ fn ring_below_capacity_preserves_order_and_drops_nothing() {
     assert_eq!(rec.drain("again").events.len(), 4);
 }
 
-#[cfg(feature = "obs-off")]
-#[test]
-fn obs_off_compiles_recording_away() {
-    assert!(!rankhow_obs::ENABLED);
-    let h = Histogram::new();
-    h.record(Duration::from_millis(5));
-    assert_eq!(h.snapshot().count, 0);
-    let rec = FlightRecorder::new(8);
-    rec.record(Event::Admitted);
-    assert!(rec.drain("noop").events.is_empty());
-    let tel = SolveTelemetry::new(Arc::new(MetricsRegistry::new())).with_phase_sample(1);
-    assert!(!tel.sample_phase());
-}
-
 // ------------------------------------------------------------ registry
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn registry_merge_and_pool_gauges() {
     let a = MetricsRegistry::new();
@@ -219,7 +192,6 @@ fn registry_merge_and_pool_gauges() {
     assert_eq!((depths[2].last, depths[2].max), (5, 5));
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn phase_sampling_fires_every_nth_tick() {
     let tel = SolveTelemetry::new(Arc::new(MetricsRegistry::new()));
@@ -249,7 +221,7 @@ fn serialized_payloads_pass_the_strict_parser() {
     rec.record(Event::Placed { pool: 1 });
     rec.record(Event::SliceEnd { lane: 0, nodes: 64 });
     rec.record(Event::Incumbent { error: 2.0 });
-    rec.record(Event::ProbeSweep { probes: 12 });
+    rec.record(Event::Retried { attempt: 2 });
     rec.record(Event::Completed { status: "optimal" });
     assert!(
         json::validate(&rec.drain("q \"quoted\"\n").to_json()),

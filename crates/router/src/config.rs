@@ -114,8 +114,7 @@ pub struct RouterConfig {
     /// lookup timing, and per-pool queue-depth gauges — for queries
     /// that carry a telemetry handle
     /// (`SolverConfig::telemetry`). Default `true`; queries without a
-    /// handle record nothing either way, and the `obs-off` cargo
-    /// feature removes the recording at compile time.
+    /// handle record nothing either way.
     pub telemetry: bool,
     /// Retry policy for refused and failed spawns (see [`RetryPolicy`];
     /// retries are off by default).

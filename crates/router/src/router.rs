@@ -312,7 +312,7 @@ impl RouterInner {
         // survive placement retries and rebalance migrations, so it is
         // taken once, here.
         let admitted_at = Instant::now();
-        let tel = if rankhow_obs::ENABLED && self.config.telemetry {
+        let tel = if self.config.telemetry {
             config.telemetry.clone()
         } else {
             None

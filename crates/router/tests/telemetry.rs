@@ -45,7 +45,6 @@ fn event_names(tel: &SolveTelemetry) -> Vec<&'static str> {
         .collect()
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn trace_covers_the_whole_solve_path_in_order() {
     let router = Router::new(RouterConfig {
@@ -93,7 +92,6 @@ fn trace_covers_the_whole_solve_path_in_order() {
     assert!(m.queue_wait.snapshot().max() <= m.latency.snapshot().max());
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn latency_counts_completed_queries_across_fast_paths() {
     // Exact cache hits complete at the router without touching a pool —
@@ -146,7 +144,6 @@ fn latency_counts_completed_queries_across_fast_paths() {
     blocker.cancel();
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn router_telemetry_flag_silences_exactly_the_router_layer() {
     let router = Router::new(RouterConfig {
@@ -233,15 +230,13 @@ proptest! {
                 prop_assert_eq!(observed.error, bare.error);
                 prop_assert_eq!(observed.certified_error, bare.certified_error);
             }
-            if rankhow_obs::ENABLED {
-                prop_assert_eq!(
-                    tel.metrics.lp_solve.snapshot().count,
-                    observed.stats.lp_solves as u64,
-                    "lp histogram reconciles at threads={} pools={}",
-                    threads, pools
-                );
-                prop_assert_eq!(tel.metrics.latency.snapshot().count, 1);
-            }
+            prop_assert_eq!(
+                tel.metrics.lp_solve.snapshot().count,
+                observed.stats.lp_solves as u64,
+                "lp histogram reconciles at threads={} pools={}",
+                threads, pools
+            );
+            prop_assert_eq!(tel.metrics.latency.snapshot().count, 1);
         }
     }
 }

@@ -483,19 +483,17 @@ fn admission_stamp_survives_migration_and_feeds_queue_wait() {
     assert!(sol.optimal, "migration must not change results");
     blocker.cancel();
 
-    if rankhow_obs::ENABLED {
-        // Queue wait is charged from the ORIGINAL admission: at least
-        // the backdating, even though the job spent almost no time on
-        // the target pool's queue.
-        let wait = tel.metrics.queue_wait.snapshot();
-        assert_eq!(wait.count, 1);
-        assert!(
-            wait.min() >= 250_000_000,
-            "wait measured from re-enqueue, not admission: {} ns",
-            wait.min()
-        );
-        let latency = tel.metrics.latency.snapshot();
-        assert_eq!(latency.count, 1);
-        assert!(latency.max() >= wait.max(), "latency includes the wait");
-    }
+    // Queue wait is charged from the ORIGINAL admission: at least
+    // the backdating, even though the job spent almost no time on
+    // the target pool's queue.
+    let wait = tel.metrics.queue_wait.snapshot();
+    assert_eq!(wait.count, 1);
+    assert!(
+        wait.min() >= 250_000_000,
+        "wait measured from re-enqueue, not admission: {} ns",
+        wait.min()
+    );
+    let latency = tel.metrics.latency.snapshot();
+    assert_eq!(latency.count, 1);
+    assert!(latency.max() >= wait.max(), "latency includes the wait");
 }

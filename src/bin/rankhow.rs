@@ -416,7 +416,6 @@ fn report_stats(stats: &rankhow::core::SolverStats) {
     eprintln!(
         "stats: {} nodes, {} lp solves ({} warm / {} cold starts, {} pivots), \
          {} probes skipped ({} whole coords), \
-         {} probes batched ({} sweeps), \
          {} incumbents, {} live pairs, {} job(s){}",
         stats.nodes,
         stats.lp_solves,
@@ -425,8 +424,6 @@ fn report_stats(stats: &rankhow::core::SolverStats) {
         stats.lp_pivots,
         stats.probes_skipped,
         stats.coords_skipped,
-        stats.probe_objectives_batched,
-        stats.batched_sweeps,
         stats.incumbents,
         stats.live_pairs,
         stats.jobs.max(1),
@@ -457,7 +454,6 @@ fn report_histograms(metrics: &MetricsRegistry) {
         ("slice", metrics.slice.snapshot()),
         ("lp solve", metrics.lp_solve.snapshot()),
         ("lp load", metrics.lp_load.snapshot()),
-        ("probe sweep", metrics.probe_sweep.snapshot()),
         ("tighten A", metrics.tighten_a.snapshot()),
         ("tighten C", metrics.tighten_c.snapshot()),
         ("child feas", metrics.child_feas.snapshot()),

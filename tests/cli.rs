@@ -715,34 +715,31 @@ fn observability_outputs_are_valid_and_reconcile() {
         "{trace_payload}"
     );
 
-    if rankhow::obs::ENABLED {
-        // The histogram summary rides --stats only when telemetry is
-        // compiled in.
-        assert!(stderr.contains("lp solve"), "{stderr}");
-        // The reconciliation invariant, end to end through the CLI: the
-        // LP-time histogram saw exactly SolverStats::lp_solves entries.
-        let lp_solves = json_u64(&stats_payload, "lp_solves");
-        assert!(lp_solves > 0);
-        let lp_hist = metrics_payload
-            .split("\"lp_solve\":")
-            .nth(1)
-            .expect("lp_solve histogram in metrics");
-        assert_eq!(json_u64(lp_hist, "count"), lp_solves);
-        // One completed query, one latency entry.
-        let latency = metrics_payload
-            .split("\"latency\":")
-            .nth(1)
-            .expect("latency histogram in metrics");
-        assert_eq!(json_u64(latency, "count"), 1);
-        assert!(
-            trace_payload.contains("\"event\":\"admitted\""),
-            "{trace_payload}"
-        );
-        assert!(
-            trace_payload.contains("\"event\":\"completed\""),
-            "{trace_payload}"
-        );
-    }
+    // The histogram summary rides --stats.
+    assert!(stderr.contains("lp solve"), "{stderr}");
+    // The reconciliation invariant, end to end through the CLI: the
+    // LP-time histogram saw exactly SolverStats::lp_solves entries.
+    let lp_solves = json_u64(&stats_payload, "lp_solves");
+    assert!(lp_solves > 0);
+    let lp_hist = metrics_payload
+        .split("\"lp_solve\":")
+        .nth(1)
+        .expect("lp_solve histogram in metrics");
+    assert_eq!(json_u64(lp_hist, "count"), lp_solves);
+    // One completed query, one latency entry.
+    let latency = metrics_payload
+        .split("\"latency\":")
+        .nth(1)
+        .expect("latency histogram in metrics");
+    assert_eq!(json_u64(latency, "count"), 1);
+    assert!(
+        trace_payload.contains("\"event\":\"admitted\""),
+        "{trace_payload}"
+    );
+    assert!(
+        trace_payload.contains("\"event\":\"completed\""),
+        "{trace_payload}"
+    );
 }
 
 #[test]
@@ -798,17 +795,15 @@ fn batch_observability_outputs_cover_every_query() {
         let payload = std::fs::read_to_string(traces.join(name)).expect(name);
         assert!(rankhow::obs::json::validate(&payload), "{payload}");
     }
-    if rankhow::obs::ENABLED {
-        let latency = metrics_payload
-            .split("\"latency\":")
-            .nth(1)
-            .expect("latency histogram in metrics");
-        assert_eq!(
-            json_u64(latency, "count"),
-            2,
-            "one latency entry per completed query"
-        );
-    }
+    let latency = metrics_payload
+        .split("\"latency\":")
+        .nth(1)
+        .expect("latency histogram in metrics");
+    assert_eq!(
+        json_u64(latency, "count"),
+        2,
+        "one latency entry per completed query"
+    );
 }
 
 #[test]
